@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .mc import McConfig
 from .mixture import QuadratureSpec
 
 __all__ = ["NumericConfig", "DEFAULT_NUMERIC_CONFIG"]
@@ -13,25 +11,20 @@ __all__ = ["NumericConfig", "DEFAULT_NUMERIC_CONFIG"]
 
 @dataclass(frozen=True)
 class NumericConfig:
-    """Quadrature, tolerance and Monte-Carlo settings in one object.
+    """Quadrature and tolerance settings in one object.
 
     Root-finding widths are fixed by the algorithms themselves (bisection to
     1e-10 interval width for the mixture quantile, 1e-15 CDF residual for the
-    beta quantile); the configurable pieces are the quadrature rule, its
-    convergence tolerance, and the Monte-Carlo run shape.
+    beta quantile); the configurable pieces are the quadrature rule and its
+    convergence tolerance.
     """
 
     node_count: int = 512
     truncation: float = 8.0
     abs_tol: float = 1e-10
-    mc_trials: int = 1_000_000
-    mc_seed: int = 1
-    mc_chunk_size: int = 250_000
 
     def __post_init__(self) -> None:
-        if int(self.mc_trials) != self.mc_trials or self.mc_trials < 1:
-            raise DomainError(f"NumericConfig: mc_trials={self.mc_trials!r} must be >= 1")
-        # remaining fields are validated by the specs they feed
+        # the fields are validated by the spec they feed
         self.quadrature()
 
     def quadrature(self) -> QuadratureSpec:
@@ -39,11 +32,6 @@ class NumericConfig:
             node_count=self.node_count,
             truncation=self.truncation,
             abs_tol=self.abs_tol,
-        )
-
-    def mc(self) -> McConfig:
-        return McConfig(
-            trials=self.mc_trials, seed=self.mc_seed, chunk_size=self.mc_chunk_size
         )
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError
-from .mixture import FactorModelParams
+from .mixture import FactorModelParams, _validate_counts
 
 __all__ = [
     "McConfig",
@@ -98,13 +98,6 @@ def _beta_sample(rng: np.random.Generator, a: float, b: float, size: int) -> np.
     g1 = rng.standard_gamma(a, size)
     g2 = rng.standard_gamma(b, size)
     return np.clip(g1 / (g1 + g2), 1e-300, 1.0 - 2.0 ** -53)
-
-
-def _validate_counts(n: int, k: int) -> None:
-    if int(n) != n or n < 1:
-        raise DomainError(f"n={n!r} must be a positive integer")
-    if int(k) != k or k < 0 or k > n:
-        raise DomainError(f"k={k!r} must be an integer in [0, n]")
 
 
 def simulate_default_count_tail(

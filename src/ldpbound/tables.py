@@ -155,14 +155,6 @@ _SPECS: dict[int, TableSpec] = {
     ),
 }
 
-# expected reversal of the pooled bounds at gamma = 0.5 in the second
-# example: grade D's bound lands below grade C's, both with and without the
-# systematic factor (the bold cells of tables 4 and 6)
-REVERSAL_CELLS: dict[int, tuple[str, str, float]] = {
-    4: ("C", "D", 0.5),
-    6: ("C", "D", 0.5),
-}
-
 # the printed source is known to carry one bad cell: table 6, first row at
 # gamma = 0.99 reads 5.58. Its printed quantile (table 5) is 1.67, which
 # through p = Phi(-sqrt(1 - rho) * q) and 2-decimal rounding confines the

@@ -1,13 +1,16 @@
-"""Tests for the hand-authored special functions.
+"""Tests for the special functions.
 
-Oracles: stdlib math.erf/erfc/lgamma for dense grids, math.comb summation for
-integer-shape identities, and the frozen high-precision constants in _frozen.
+Oracles: scipy.special.ndtr/ndtri (test-only) for the normal CDF and quantile
+on dense grids, stdlib math.lgamma for log-gamma, math.fsum log sums for
+integer-shape log-beta identities, and the frozen high-precision constants in
+_frozen.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from ldpbound import (
     DomainError,
@@ -43,11 +46,11 @@ class TestNormalCdf:
         assert std_normal_cdf(2.5) == pytest.approx(PHI_AT_2_5, abs=1e-15)
         assert std_normal_cdf(-1.0) == pytest.approx(PHI_AT_MINUS_1, abs=1e-16)
 
-    def test_against_stdlib_erfc_grid(self):
-        # math.erfc is a correctly rounded C library call: a strong oracle.
+    def test_against_scipy_ndtr_grid(self):
+        # the CDF is built on math.erfc, so the oracle is cephes' ndtr instead
         xs = np.linspace(-10.0, 10.0, 801)
         got = std_normal_cdf(xs)
-        want = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in xs])
+        want = ndtr(xs)
         scale = np.maximum(np.abs(want), 1e-300)
         assert np.max(np.abs(got - want) / scale) < 1e-13
 
@@ -63,8 +66,7 @@ class TestNormalCdf:
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
     def test_scalar_matches_array_path(self):
-        # numpy's vectorized exp can differ from libm's by one ulp, so exact
-        # bit equality between the two paths is not on the table; two ulps is
+        # scalar and array input share one body, so they agree bit for bit
         xs = np.linspace(-8.0, 8.0, 97)
         arr = std_normal_cdf(xs)
         sca = np.array([std_normal_cdf(float(x)) for x in xs])
@@ -96,6 +98,17 @@ class TestNormalQuantile:
                        0.75, 0.9, 0.99, 0.999, 0.9999, 0.99999, 1 - 1e-6])
         back = std_normal_cdf(std_normal_quantile(ps))
         assert np.max(np.abs(back - ps)) <= 1e-13
+
+    def test_against_scipy_ndtri_both_tails(self):
+        # dense in both tails, up to p = 1 - 1e-15 where Phi(x) - p is below
+        # one ulp of p and a Newton-type correction from the CDF has nothing
+        # to work with
+        lower = np.geomspace(1e-300, 0.49, 2000)
+        upper = 1.0 - np.geomspace(1e-15, 0.49, 2000)
+        for ps in (lower, upper):
+            got = std_normal_quantile(ps)
+            want = ndtri(ps)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
     def test_antisymmetry(self):
         for p in (0.01, 0.1, 0.3, 0.45):
@@ -199,7 +212,8 @@ class TestBetaCdf:
             assert np.all(np.diff(vals) >= 0.0)
 
     def test_scalar_matches_array_path(self):
-        # see the normal-cdf twin of this test for why not bit equality
+        # numpy's vectorized exp can differ from libm's by one ulp, so exact
+        # bit equality between the two paths is not on the table
         xs = np.linspace(0.01, 0.99, 53)
         arr = beta_cdf(xs, 149.0, 2.0)
         sca = np.array([beta_cdf(float(x), 149.0, 2.0) for x in xs])
