@@ -58,7 +58,8 @@ class BoundResult:
     ``p_upper`` minus the target 1 - gamma. ``quantile`` is the inner quantile
     the inversion produced (beta quantile here, factor-mixture quantile in the
     correlated model); NaN when the bound is vacuous. ``iterations`` counts
-    solver steps.
+    solver steps: Newton steps in the independent model, evaluations of F
+    (bracketing included) in the correlated model.
     """
 
     p_upper: float

@@ -13,10 +13,10 @@ __all__ = ["NumericConfig", "DEFAULT_NUMERIC_CONFIG"]
 class NumericConfig:
     """Quadrature and tolerance settings in one object.
 
-    Root-finding widths are fixed by the algorithms themselves (bisection to
-    1e-10 interval width for the mixture quantile, 1e-15 CDF residual for the
-    beta quantile); the configurable pieces are the quadrature rule and its
-    convergence tolerance.
+    Root-finding tolerances are fixed by the algorithms themselves (a 1e-12
+    relative Newton step or a 1e-10 bracket for the mixture quantile, 1e-15
+    CDF residual for the beta quantile); the configurable pieces are the
+    quadrature rule and its convergence tolerance.
     """
 
     node_count: int = 512

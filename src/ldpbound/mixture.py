@@ -239,6 +239,22 @@ def mixture_tail_prob(
     return min(max(val, 0.0), 1.0)
 
 
+def _f_pass(yv: np.ndarray, s: MixtureShape, q: QuadratureSpec):
+    """One checked quadrature pass of F at every y in ``yv``.
+
+    Returns F (clipped to [0, 1], one value per y) and the inner Phi values
+    at all nodes, full rule first, from which the solver forms F'.
+    """
+    c1 = math.sqrt(s.rho / (1.0 - s.rho))
+    inner = []
+
+    def integrand(x):
+        inner.append(specfun.std_normal_cdf(c1 * x[None, :] + yv.reshape(-1, 1)))
+        return specfun.beta_cdf(inner[0], s.a, s.b)
+
+    return np.clip(_integrate(integrand, q), 0.0, 1.0), inner[0]
+
+
 def f_cdf(y, s: MixtureShape, q: QuadratureSpec = DEFAULT_QUADRATURE):
     """The auxiliary CDF F_{a,b,rho} at y.
 
@@ -253,13 +269,7 @@ def f_cdf(y, s: MixtureShape, q: QuadratureSpec = DEFAULT_QUADRATURE):
     yv = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(yv)):
         raise DomainError("f_cdf: y must be finite")
-    c1 = math.sqrt(s.rho / (1.0 - s.rho))
-
-    def integrand(x):
-        inner = specfun.std_normal_cdf(c1 * x[None, :] + yv.reshape(-1, 1))
-        return specfun.beta_cdf(inner, s.a, s.b)
-
-    out = np.clip(_integrate(integrand, q), 0.0, 1.0).reshape(yv.shape)
+    out = _f_pass(yv, s, q)[0].reshape(yv.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -311,37 +321,96 @@ def f_cdf_unit_interval(y: float, s: MixtureShape, order: int = 32) -> float:
     return min(max(float(vals @ w), 0.0), 1.0)
 
 
+# the bracket window: outward steps visit the doubling sequence +-2, ..., +-32,
+# so a root beyond |y| = 32 is refused, not extrapolated
+_BRACKET_STEPS = (2.0, 4.0, 8.0, 16.0, 32.0)
+_WINDOW = _BRACKET_STEPS[-1]
+
+
+def _f_quantile_start(t_prob: float, s: MixtureShape) -> float:
+    # F is the law of V - c1*X with V = Phi^-1(Beta(a, b)) and X standard
+    # normal: centre on V's median and widen V's spread by c1
+    c1 = math.sqrt(s.rho / (1.0 - s.rho))
+    v16, v50, v84 = (
+        specfun.std_normal_quantile(specfun.beta_quantile(t, s.a, s.b))
+        for t in (0.16, 0.5, 0.84)
+    )
+    sigma = 0.5 * (v84 - v16)
+    return v50 + t_prob * math.sqrt(sigma * sigma + c1 * c1)
+
+
+def _f_slope(y: float, u: np.ndarray, s: MixtureShape, q: QuadratureSpec, lb: float) -> float:
+    # F'(y) = integral phi(x) b_{a,b}(u) phi(z) dx with z = c1*x + y and
+    # u = Phi(z) from the same pass, on the full-rule nodes. It only steers
+    # the step, so it is never checked. Nodes where u is exactly 0 or 1
+    # contribute 0 (phi(z) has underflowed there, and a = 1 or b = 1 would
+    # otherwise give 0 * log 0).
+    xf, wf = _gauss_nodes(q.node_count, q.truncation)
+    u = u[0, : xf.size]
+    z = math.sqrt(s.rho / (1.0 - s.rho)) * xf + y
+    inside = (u > 0.0) & (u < 1.0)
+    uc = np.where(inside, u, 0.5)
+    log_dens = (s.a - 1.0) * np.log(uc) + (s.b - 1.0) * np.log1p(-uc) - lb - 0.5 * z * z
+    return _INV_SQRT_TWO_PI * float(np.where(inside, np.exp(log_dens), 0.0) @ wf)
+
+
+def _fallback_step(lo: float, hi: float, prob: float) -> float:
+    # outward to the next bracket point while a side is open, else bisection
+    if lo == -math.inf:
+        for edge in _BRACKET_STEPS:
+            if -edge < hi:
+                return -edge
+        raise NumericError(f"f_quantile: no lower bracket above y=-40 for prob={prob!r}")
+    if hi == math.inf:
+        for edge in _BRACKET_STEPS:
+            if edge > lo:
+                return edge
+        raise NumericError(f"f_quantile: no upper bracket below y=40 for prob={prob!r}")
+    return 0.5 * (lo + hi)
+
+
 def _f_quantile_steps(
     prob: float, s: MixtureShape, q: QuadratureSpec
 ) -> tuple[float, int]:
-    # expand a bracket geometrically, then bisect; F is monotone so the
-    # bracket invariant F(lo) < prob <= F(hi) cannot break
-    lo, hi = -2.0, 2.0
-    f_lo = f_cdf(lo, s, q)
-    f_hi = f_cdf(hi, s, q)
-    while f_lo >= prob:
-        lo *= 2.0
-        if lo < -40.0:
-            raise NumericError(
-                f"f_quantile: no lower bracket above y=-40 for prob={prob!r}"
-            )
-        f_lo = f_cdf(lo, s, q)
-    while f_hi < prob:
-        hi *= 2.0
-        if hi > 40.0:
-            raise NumericError(
-                f"f_quantile: no upper bracket below y=40 for prob={prob!r}"
-            )
-        f_hi = f_cdf(hi, s, q)
-    steps = 0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        steps += 1
-        if f_cdf(mid, s, q) < prob:
-            lo = mid
+    # Safeguarded Newton (the rtsafe pattern) on G(y) = Phi^-1(F(y)) -
+    # Phi^-1(prob), which is nearly linear in y because F is close to a
+    # normal law; G' = F' / phi(Phi^-1(F)). Each evaluation is one checked
+    # pass of F that also yields F', and tightens the bracket
+    # F(lo) < prob <= F(hi), valid because F is monotone. A Newton step that
+    # leaves the bracket or the window, has no slope, or (once both sides are
+    # known) fails to halve the previous move is replaced by _fallback_step.
+    # Returns y and the number of F evaluations.
+    lb = specfun.log_beta(s.a, s.b)
+    t_prob = specfun.std_normal_quantile(prob)
+    lo, hi = -math.inf, math.inf
+    y = min(max(_f_quantile_start(t_prob, s), -_WINDOW), _WINDOW)
+    last_move = math.inf
+    evals = 0
+    while True:
+        f, u = _f_pass(np.array([y]), s, q)
+        f = float(f[0])
+        evals += 1
+        if f == prob:
+            return y, evals
+        if f < prob:
+            lo = y
         else:
-            hi = mid
-    return 0.5 * (lo + hi), steps
+            hi = y
+        slope = _f_slope(y, u, s, q, lb)
+        step = math.nan
+        if slope > 0.0 and 0.0 < f < 1.0:
+            t = specfun.std_normal_quantile(f)
+            step = (t - t_prob) * _INV_SQRT_TWO_PI * math.exp(-0.5 * t * t) / slope
+        if abs(step) <= 1e-12 * max(1.0, abs(y)):
+            return y - step, evals
+        y_new = y - step
+        stalled = hi - lo < math.inf and abs(step) >= 0.5 * last_move
+        if stalled or not (lo < y_new < hi and abs(y_new) <= _WINDOW):
+            y_new = _fallback_step(lo, hi, prob)
+        last_move = abs(y_new - y)
+        y = y_new
+        if hi - lo <= 1e-10:
+            return y, evals
 
 
 def f_quantile(
@@ -349,8 +418,15 @@ def f_quantile(
 ) -> float:
     """Inverse of :func:`f_cdf`: the y with F(y) = prob, for prob in (0, 1).
 
-    Bracket by doubling outward from [-2, 2], then bisection to interval
-    width 1e-10. |f_cdf(result) - prob| stays below 1e-8.
+    Safeguarded Newton on Phi^-1(F(y)) = Phi^-1(prob), started from the
+    rho = 0 composition Phi^-1(I^-1(., a, b)) widened by the factor loading.
+    Each step is one quadrature pass of F, with its half-rule check, that
+    also yields F' and tightens a bracket. A step that leaves the bracket
+    falls back to stepping outward along +-2, 4, ..., 32 while one side is
+    open, and to bisection otherwise. The solve stops when the Newton step
+    is below 1e-12 * max(1, |y|) or the bracket is below 1e-10 wide; a root
+    beyond |y| = 32 raises NumericError. |f_cdf(result) - prob| stays below
+    1e-8.
     """
     pf = float(prob)
     if not 0.0 < pf < 1.0:

@@ -50,8 +50,10 @@ _TINY = 1e-300
 # above eps(1.0) or converged iterates wobbling by one ulp never terminate.
 _CF_TOL = 1e-15
 
-_erfc = np.vectorize(math.erfc, otypes=[float])
-_inv_cdf = np.vectorize(NormalDist().inv_cdf, otypes=[float])
+# lane-by-lane ufuncs over the stdlib calls; they return object arrays (or a
+# bare float for 0-d input), converted back with np.asarray(..., dtype=float)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+_inv_cdf = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +70,7 @@ def std_normal_cdf(x):
     finite = np.isfinite(arr)
     if not finite.all():
         raise DomainError(f"std_normal_cdf: x={float(arr[~finite].flat[0])!r} must be finite")
-    out = 0.5 * _erfc(-arr / _SQRT2)
+    out = 0.5 * np.asarray(_erfc(-arr / _SQRT2), dtype=float)
     return float(out) if out.ndim == 0 else out
 
 
@@ -83,7 +85,7 @@ def std_normal_quantile(p):
         raise DomainError(
             f"std_normal_quantile: p={float(arr[~inside].flat[0])!r} outside (0, 1)"
         )
-    out = _inv_cdf(arr)
+    out = np.asarray(_inv_cdf(arr), dtype=float)
     return float(out) if out.ndim == 0 else out
 
 

@@ -7,12 +7,16 @@ independently implemented routes to each other.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ldpbound import (
+    GAMMAS,
     BoundQuery,
     DegenerateModelError,
     DomainError,
@@ -20,6 +24,7 @@ from ldpbound import (
     MixtureShape,
     NumericError,
     QuadratureSpec,
+    allocate,
     beta_cdf,
     beta_quantile,
     binomial_cdf,
@@ -36,6 +41,7 @@ from ldpbound import (
     pd_upper_bound_independent,
     std_normal_cdf,
     std_normal_quantile,
+    table_spec,
     tilde_f_cdf,
     vasicek_cdf,
 )
@@ -57,6 +63,33 @@ from _frozen import (
 )
 
 RHO_BENCH = 0.12
+
+# p_upper of every correlated cell of tables 3 and 6 (rows in allocation
+# order, columns in GAMMAS order), as the earlier bisection solver returned
+# them: a 36-step bisection of the same F to a 1e-10 bracket, an independent
+# route to the same roots
+BISECTION_CELLS = {
+    3: (
+        (0.0071055261453654315, 0.01414873741195986, 0.02490958278598845,
+         0.03412076599620974, 0.05875800132354897, 0.1007535619894824),
+        (0.008005687521513892, 0.015807938516147625, 0.027616895756436066,
+         0.037653069356243046, 0.06427160256472692, 0.1091211265622882),
+        (0.008351685566508879, 0.017536168405625323, 0.0318133064800089,
+         0.04407758131081026, 0.07671387363578706, 0.13133263068863238),
+    ),
+    6: (
+        (0.007902428988263755, 0.015120709742902794, 0.025861603227693226,
+         0.03491342522552612, 0.05879578640895629, 0.09899089724597859),
+        (0.007932259053074434, 0.015338549834720154, 0.026425660072769093,
+         0.035798300191418456, 0.06057892534301166, 0.10231972222017255),
+        (0.01643106295848869, 0.030360827483399248, 0.050078732880311706,
+         0.06603253267731664, 0.10605911508893233, 0.16868039223357106),
+        (0.015551802796963093, 0.031297412229852, 0.05451236553044463,
+         0.07364305711776331, 0.12207773405963415, 0.19764886041250998),
+    ),
+}
+# F evaluations one correlated solve may take on the paper's cells
+SOLVE_BUDGET = 8
 
 
 class TestConditionalPd:
@@ -276,6 +309,17 @@ class TestFQuantile:
             with pytest.raises(DomainError):
                 f_quantile(prob, s)
 
+    def test_root_beyond_window_is_refused(self):
+        # F(y) = Phi(sqrt(1-rho)*y) here, so the root for 1e-300 lies near
+        # y = -39, beyond the +-32 bracket window, where the integrand's peak
+        # has left the [-8, 8] quadrature window; for 1 - 1e-16 the truncated
+        # rule never reaches prob (its weights sum to 1 - 1.2e-15)
+        s = MixtureShape(a=1.0, b=1.0, rho=0.12)
+        with pytest.raises(NumericError, match=r"no lower bracket above y=-40"):
+            f_quantile(1e-300, s)
+        with pytest.raises(NumericError, match=r"no upper bracket below y=40"):
+            f_quantile(1.0 - 1e-16, s)
+
 
 class TestCorrelatedBound:
     def test_frozen_example(self):
@@ -301,6 +345,64 @@ class TestCorrelatedBound:
         res = pd_upper_bound_correlated(BoundQuery(n=400, k=4, gamma=0.9, rho=0.12))
         tail = mixture_tail_prob(400, 4, FactorModelParams(p=res.p_upper, rho=0.12))
         assert res.residual == pytest.approx(tail - 0.1, abs=1e-12)
+
+    def test_paper_cells_within_solve_budget(self):
+        for table_id, cells in BISECTION_CELLS.items():
+            spec = table_spec(table_id)
+            rows = [(n, k) for _, n, k in allocate(spec.portfolio)]
+            for (n, k), want_row in zip(rows, cells, strict=True):
+                for gamma, want in zip(GAMMAS, want_row, strict=True):
+                    res = pd_upper_bound_correlated(
+                        BoundQuery(n=n, k=k, gamma=gamma, rho=spec.rho))
+                    assert res.iterations <= SOLVE_BUDGET, (table_id, n, k, gamma)
+                    assert res.p_upper == pytest.approx(want, abs=1e-9), \
+                        (table_id, n, k, gamma)
+
+    def test_exact_root_hit_ends_solve(self):
+        # plain Newton on F lands on F == prob to the last bit here; a zero
+        # step must end the solve instead of being retried
+        res = pd_upper_bound_correlated(BoundQuery(n=10, k=5, gamma=0.5, rho=0.12))
+        assert res.iterations <= SOLVE_BUDGET
+        assert abs(res.residual) <= 1e-8
+
+    def test_unit_shapes(self):
+        # shapes a = 1 (k = n - 1) or b = 1 (k = 0) give the density's log a
+        # 0 * log 0 term wherever Phi reaches 0 or 1 exactly, which it does at
+        # the upper nodes for (1000, 0, rho = .5); the slope must stay quiet
+        # there. With n = 1 the tail P(D <= 0) = 1 - p, so the bound is gamma
+        cases = ((800, 799, 0.9, 0.12), (1, 0, 0.5, 0.12), (1, 0, 0.999, 0.12),
+                 (1000, 0, 0.5, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for n, k, gamma, rho in cases:
+                res = pd_upper_bound_correlated(BoundQuery(n=n, k=k, gamma=gamma, rho=rho))
+                assert res.iterations <= SOLVE_BUDGET, (n, k, gamma, rho)
+                assert abs(res.residual) <= 1e-8, (n, k, gamma, rho)
+                if n == 1:
+                    assert res.p_upper == pytest.approx(gamma, abs=1e-9)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=3000),
+        k_frac=st.floats(min_value=0.0, max_value=1.0),
+        rho=st.sampled_from((0.05, 0.12, 0.24)),
+    )
+    def test_envelope_properties(self, n, k_frac, rho):
+        # every paper gamma gives a value whose quantile solves F = 1 - gamma
+        # to 1e-8, or a typed error; the values never decrease in gamma
+        k = int(k_frac * min(n - 1, 40))
+        shape = MixtureShape(a=float(n - k), b=float(k + 1), rho=rho)
+        bounds = []
+        for gamma in GAMMAS:
+            try:
+                res = pd_upper_bound_correlated(BoundQuery(n=n, k=k, gamma=gamma, rho=rho))
+            except (NumericError, DomainError):
+                bounds.append(None)
+                continue
+            assert abs(f_cdf(res.quantile, shape) - (1.0 - gamma)) <= 1e-8, (n, k, gamma)
+            bounds.append(res.p_upper)
+        solved = [b for b in bounds if b is not None]
+        assert all(b >= a for a, b in zip(solved, solved[1:])), (n, k, rho, bounds)
 
     def test_zero_correlation_matches_independent(self):
         for n, k, gamma in ((800, 3, 0.9), (150, 1, 0.95), (100, 0, 0.95)):
