@@ -26,7 +26,6 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .binomial import BoundQuery, pd_upper_bound_independent
-from .config import NumericConfig
 from .conservatism import GradeBoundReport, Grade, Portfolio, estimate_grades, remediate_reversal
 from .errors import DomainError, NumericError
 from .mc import McConfig, simulate_default_count_tail
@@ -124,10 +123,6 @@ def _quad_spec(args) -> QuadratureSpec:
     return QuadratureSpec(node_count=args.nodes, abs_tol=args.tol)
 
 
-def _numeric_config(args) -> NumericConfig:
-    return NumericConfig(node_count=args.nodes, abs_tol=args.tol)
-
-
 def _usage(message: str) -> int:
     print(f"usage error: {message}", file=sys.stderr)
     return EXIT_USAGE
@@ -181,13 +176,13 @@ def cmd_portfolio(args) -> int:
     if args.rho is not None and not 0.0 <= args.rho < 1.0:
         return _usage(f"portfolio: rho={args.rho!r} outside [0, 1)")
     pf = parse_portfolio_file(args.file)
-    cfg = _numeric_config(args)
+    quad = _quad_spec(args)
 
     reports: list[GradeBoundReport] = []
     for gamma in args.gamma:
-        report = estimate_grades(pf, gamma, args.rho, cfg)
+        report = estimate_grades(pf, gamma, args.rho, quad)
         if args.remediate and report.reversal_flags:
-            report = remediate_reversal(report, cfg)
+            report = remediate_reversal(report, quad)
         reports.append(report)
 
     if args.format == "csv":
@@ -293,7 +288,7 @@ def cmd_density(args) -> int:
 
 def cmd_tables(args) -> int:
     spec = table_spec(args.which)
-    computed = compute_table(args.which, _numeric_config(args))
+    computed = compute_table(args.which, _quad_spec(args))
     percent = spec.kind != "quantile"
 
     def cell(v: float) -> str:

@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .binomial import BoundQuery, BoundResult, pd_upper_bound_independent
-from .config import DEFAULT_NUMERIC_CONFIG, NumericConfig
 from .errors import DomainError, NumericError
-from .mixture import pd_upper_bound_correlated
+from .mixture import DEFAULT_QUADRATURE, QuadratureSpec, pd_upper_bound_correlated
 
 __all__ = [
     "Grade",
@@ -118,12 +117,12 @@ class GradeBoundReport:
 
 
 def _bound_for(
-    n: int, k: int, gamma: float, rho: float | None, cfg: NumericConfig
+    n: int, k: int, gamma: float, rho: float | None, q: QuadratureSpec | None
 ) -> BoundResult:
     query = BoundQuery(n=n, k=k, gamma=gamma, rho=rho)
     if rho is None:
         return pd_upper_bound_independent(query)
-    return pd_upper_bound_correlated(query, cfg.quadrature())
+    return pd_upper_bound_correlated(query, q or DEFAULT_QUADRATURE)
 
 
 def _detect_reversals(entries: list[GradeBound]) -> tuple[tuple[str, str], ...]:
@@ -139,18 +138,18 @@ def estimate_grades(
     pf: Portfolio,
     gamma: float,
     rho: float | None = None,
-    cfg: NumericConfig | None = None,
+    q: QuadratureSpec | None = None,
 ) -> GradeBoundReport:
     """Bound every grade of the portfolio at confidence gamma.
 
     ``rho`` absent selects the independence model, present the one-factor
-    correlated model. Numeric failures are re-raised naming the grade.
+    correlated model, integrated with ``q`` (None: the default rule).
+    Numeric failures are re-raised naming the grade.
     """
-    cfg = cfg or DEFAULT_NUMERIC_CONFIG
     entries: list[GradeBound] = []
     for name, n_used, k_used in allocate(pf):
         try:
-            res = _bound_for(n_used, k_used, gamma, rho, cfg)
+            res = _bound_for(n_used, k_used, gamma, rho, q)
         except NumericError as err:
             raise NumericError(f"grade {name}: {err}") from err
         entries.append(
@@ -166,7 +165,7 @@ def estimate_grades(
 
 
 def remediate_reversal(
-    report: GradeBoundReport, cfg: NumericConfig | None = None
+    report: GradeBoundReport, q: QuadratureSpec | None = None
 ) -> GradeBoundReport:
     """Raise flagged riskier grades' default counts until order is restored.
 
@@ -178,7 +177,6 @@ def remediate_reversal(
     """
     if not report.reversal_flags:
         return report
-    cfg = cfg or DEFAULT_NUMERIC_CONFIG
     entries = list(report.entries)
     increments: dict[str, int] = {}
     unresolved: list[str] = []
@@ -193,7 +191,7 @@ def remediate_reversal(
             k_new += 1
             steps += 1
             try:
-                res = _bound_for(entry.n_used, k_new, report.gamma, report.rho, cfg)
+                res = _bound_for(entry.n_used, k_new, report.gamma, report.rho, q)
             except NumericError as err:
                 raise NumericError(f"grade {entry.name}: {err}") from err
             p_new = res.p_upper

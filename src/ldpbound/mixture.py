@@ -20,13 +20,13 @@ conditional default probability. This module computes:
 * ``equicorr_density``      closed-form equicorrelated multivariate normal
   density
 
-All Gaussian-weight integrals use Gauss-Legendre on [-T, T] (default T = 8,
-512 nodes) with an embedded accuracy check: the full rule is compared against
-the 256-node half rule and NumericError is raised if they disagree beyond the
-quadrature spec's abs_tol. ``f_cdf_unit_interval`` evaluates the defining
-unit-interval integral directly (graded panels) and exists as an independent
-cross-check route for the Gaussian-weight evaluation; production code paths
-use the Gaussian-weight form.
+All Gaussian-weight integrals use Gauss-Legendre on the fixed window [-8, 8]
+(512 nodes by default) with an embedded accuracy check: the full rule is
+compared against the 256-node half rule and NumericError is raised if they
+disagree beyond the quadrature spec's abs_tol. ``f_cdf_unit_interval``
+evaluates the defining unit-interval integral directly (graded panels) and
+exists as an independent cross-check route for the Gaussian-weight
+evaluation; production code paths use the Gaussian-weight form.
 """
 
 from __future__ import annotations
@@ -96,27 +96,28 @@ class MixtureShape:
             raise DomainError(f"MixtureShape: rho={self.rho!r} outside [0, 1)")
 
 
+# The window [-T, T] with T = 8 truncates at most 2*Phi(-8) ~ 1.2e-15 of
+# mass, far below abs_tol, while keeping the Gaussian resolvable by the
+# half-size rule (the degree needed grows like T^2, so a wider window only
+# hurts).
+_TRUNCATION = 8.0
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre settings for the Gaussian-weight integrals.
+    """Gauss-Legendre settings for the Gaussian-weight integrals on [-8, 8].
 
-    The window [-T, T] with T = 8 truncates at most 2*Phi(-8) ~ 1.2e-15 of
-    mass, far below abs_tol, while keeping the Gaussian resolvable by the
-    half-size rule (the degree needed grows like T^2, so a wider window
-    only hurts). node_count = 512 leaves the half rule at 256 nodes, whose
-    worst measured error across the steepest admissible integrands (shape
-    1493 at rho = 0.5) is ~9e-13, two orders inside the default abs_tol.
+    node_count = 512 leaves the half rule at 256 nodes, whose worst measured
+    error across the steepest admissible integrands (shape 1493 at
+    rho = 0.5) is ~9e-13, two orders inside the default abs_tol.
     """
 
     node_count: int = 512
-    truncation: float = 8.0
     abs_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if int(self.node_count) != self.node_count or self.node_count < 2:
             raise DomainError(f"QuadratureSpec: node_count={self.node_count!r} must be >= 2")
-        if not self.truncation > 0.0:
-            raise DomainError(f"QuadratureSpec: truncation={self.truncation!r} must be positive")
         if not self.abs_tol > 0.0:
             raise DomainError(f"QuadratureSpec: abs_tol={self.abs_tol!r} must be positive")
 
@@ -125,12 +126,12 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 @lru_cache(maxsize=64)
-def _gauss_nodes(node_count: int, truncation: float):
+def _gauss_nodes(node_count: int):
     # nodes scaled to [-T, T]; weights folded with the normal density so the
     # integrand never sees the weight function
     x, w = np.polynomial.legendre.leggauss(node_count)
-    x = x * truncation
-    wphi = w * truncation * np.exp(-0.5 * x * x) * _INV_SQRT_TWO_PI
+    x = x * _TRUNCATION
+    wphi = w * _TRUNCATION * np.exp(-0.5 * x * x) * _INV_SQRT_TWO_PI
     x.flags.writeable = False
     wphi.flags.writeable = False
     return x, wphi
@@ -144,8 +145,8 @@ def _integrate(fn, spec: QuadratureSpec):
     node_count rule against the node_count/2 rule; disagreement beyond
     abs_tol raises NumericError.
     """
-    xf, wf = _gauss_nodes(spec.node_count, spec.truncation)
-    xh, wh = _gauss_nodes(max(spec.node_count // 2, 2), spec.truncation)
+    xf, wf = _gauss_nodes(spec.node_count)
+    xh, wh = _gauss_nodes(max(spec.node_count // 2, 2))
     vals = fn(np.concatenate([xf, xh]))
     full = vals[..., : xf.size] @ wf
     half = vals[..., xf.size :] @ wh
@@ -281,11 +282,13 @@ _UNIT_EDGES: tuple[float, ...] = tuple(
     + [0.95, 0.99, 1.0 - 1e-3, 1.0 - 1e-4]
     + [1.0 - 10.0 ** e for e in range(-6, -18, -2)] + [1.0]
 )
+# Gauss-Legendre points per panel
+_UNIT_ORDER = 32
 
 
-@lru_cache(maxsize=4)
-def _unit_panel_nodes(order: int):
-    xg, wg = np.polynomial.legendre.leggauss(order)
+@lru_cache(maxsize=1)
+def _unit_panel_nodes():
+    xg, wg = np.polynomial.legendre.leggauss(_UNIT_ORDER)
     nodes = []
     weights = []
     for lo, hi in zip(_UNIT_EDGES[:-1], _UNIT_EDGES[1:]):
@@ -303,19 +306,19 @@ def _unit_panel_nodes(order: int):
     return x, w
 
 
-def f_cdf_unit_interval(y: float, s: MixtureShape, order: int = 32) -> float:
+def f_cdf_unit_interval(y: float, s: MixtureShape) -> float:
     """F_{a,b,rho}(y) by direct integration over the unit interval.
 
     Same defining integral as :func:`f_cdf` but evaluated on (0, 1) with
-    endpoint-graded Gauss-Legendre panels instead of the Gaussian-weight
-    substitution. Kept as an algorithmically independent route; the property
-    tests compare the two.
+    endpoint-graded 32-point Gauss-Legendre panels instead of the
+    Gaussian-weight substitution. Kept as an algorithmically independent
+    route; the property tests compare the two.
     """
     yf = float(y)
     if not math.isfinite(yf):
         raise DomainError(f"f_cdf_unit_interval: y={y!r} must be finite")
     c1 = math.sqrt(s.rho / (1.0 - s.rho))
-    x, w = _unit_panel_nodes(order)
+    x, w = _unit_panel_nodes()
     inner = specfun.std_normal_cdf(c1 * specfun.std_normal_quantile(x) + yf)
     vals = specfun.beta_cdf(inner, s.a, s.b)
     return min(max(float(vals @ w), 0.0), 1.0)
@@ -345,7 +348,7 @@ def _f_slope(y: float, u: np.ndarray, s: MixtureShape, q: QuadratureSpec, lb: fl
     # the step, so it is never checked. Nodes where u is exactly 0 or 1
     # contribute 0 (phi(z) has underflowed there, and a = 1 or b = 1 would
     # otherwise give 0 * log 0).
-    xf, wf = _gauss_nodes(q.node_count, q.truncation)
+    xf, wf = _gauss_nodes(q.node_count)
     u = u[0, : xf.size]
     z = math.sqrt(s.rho / (1.0 - s.rho)) * xf + y
     inside = (u > 0.0) & (u < 1.0)
@@ -360,12 +363,12 @@ def _fallback_step(lo: float, hi: float, prob: float) -> float:
         for edge in _BRACKET_STEPS:
             if -edge < hi:
                 return -edge
-        raise NumericError(f"f_quantile: no lower bracket above y=-40 for prob={prob!r}")
+        raise NumericError(f"f_quantile: no lower bracket above y={-_WINDOW:g} for prob={prob!r}")
     if hi == math.inf:
         for edge in _BRACKET_STEPS:
             if edge > lo:
                 return edge
-        raise NumericError(f"f_quantile: no upper bracket below y=40 for prob={prob!r}")
+        raise NumericError(f"f_quantile: no upper bracket below y={_WINDOW:g} for prob={prob!r}")
     return 0.5 * (lo + hi)
 
 

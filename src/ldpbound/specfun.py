@@ -17,8 +17,7 @@ Algorithm notes:
 * The normal quantile is ``statistics.NormalDist().inv_cdf``, Wichura's
   AS 241 (PPND16, Appl. Stat. 37, 1988); relative error below 1e-14 against
   ``scipy.special.ndtri`` for p from 1e-300 to 1 - 1e-15.
-* log-gamma by upward recurrence into x >= 8 followed by the Stirling series
-  with eight Bernoulli terms.
+* log-gamma is the C library's ``math.lgamma``.
 * The incomplete beta uses the standard continued fraction with the
   symmetry switch at x = (a+1)/(a+b+2); the inverse is a Newton iteration on
   the CDF, safeguarded by bisection, started from the distribution mean.
@@ -43,7 +42,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 _TINY = 1e-300
 # Lentz stop: |delta - 1| below this ends the fraction. Must sit a few ulps
@@ -93,38 +91,16 @@ def std_normal_quantile(p):
 # log-gamma / log-beta
 # ---------------------------------------------------------------------------
 
-# Stirling series coefficients: B_{2n} / (2n(2n-1)) for n = 1..8
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
-
-
 def log_gamma(x: float) -> float:
     """Natural log of the gamma function for real x > 0.
 
-    Relative error below 4e-15 on the shapes this package uses (up to ~1600).
+    The C library's ``math.lgamma``; relative error about 1e-15 on the
+    shapes this package uses.
     """
     xf = float(x)
     if not (math.isfinite(xf) and xf > 0.0):
         raise DomainError(f"log_gamma: x={x!r} must be finite and positive")
-    if xf == 1.0 or xf == 2.0:
-        return 0.0
-    corr = 0.0
-    while xf < 8.0:
-        corr += math.log(xf)
-        xf += 1.0
-    inv2 = 1.0 / (xf * xf)
-    s = 0.0
-    for coef in reversed(_STIRLING):
-        s = s * inv2 + coef
-    return (xf - 0.5) * math.log(xf) - xf + _HALF_LOG_TWO_PI + s / xf - corr
+    return math.lgamma(xf)
 
 
 def log_beta(a: float, b: float) -> float:

@@ -15,10 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .binomial import BoundQuery, pd_upper_bound_independent
-from .config import DEFAULT_NUMERIC_CONFIG, NumericConfig
 from .conservatism import Grade, Portfolio, allocate
 from .errors import DomainError
-from .mixture import MixtureShape, f_quantile, pd_upper_bound_correlated
+from .mixture import (
+    DEFAULT_QUADRATURE,
+    MixtureShape,
+    QuadratureSpec,
+    f_quantile,
+    pd_upper_bound_correlated,
+)
 
 __all__ = [
     "GAMMAS",
@@ -174,12 +179,14 @@ def table_spec(table_id: int) -> TableSpec:
 
 
 def compute_table(
-    table_id: int, cfg: NumericConfig | None = None
+    table_id: int, q: QuadratureSpec | None = None
 ) -> list[list[float]]:
-    """Recompute one benchmark table; same layout and units as ``expected``."""
+    """Recompute one benchmark table; same layout and units as ``expected``.
+
+    The correlated tables integrate with ``q`` (None: the default rule).
+    """
     spec = table_spec(table_id)
-    cfg = cfg or DEFAULT_NUMERIC_CONFIG
-    quad = cfg.quadrature()
+    quad = q or DEFAULT_QUADRATURE
     rows: list[list[float]] = []
     for _, n_used, k_used in allocate(spec.portfolio):
         row: list[float] = []

@@ -188,6 +188,12 @@ class TestPortfolioCommand:
         assert body["C"][5] == "1.64%"
         assert body["D"][5] == "1.56%"
         assert body["D"][6] == "below-C"
+        # --nodes/--tol reach the solver: a 16-node rule is refused
+        code, out, err = run_cli(
+            capsys, "portfolio", str(path), "--gamma", "0.5", "--rho", "0.12",
+            "--nodes", "16", "--tol", "1e-12")
+        assert code == EXIT_NUMERIC and out == ""
+        assert "quadrature no longer converging" in err
 
     def test_missing_gamma_exits_2(self, tmp_path, capsys):
         path = tmp_path / "ex1.csv"
@@ -374,6 +380,10 @@ class TestTablesCommand:
         assert "at row A, gamma=0.99" in diff_line
         worst = float(diff_line.split(": ")[1].split(" pp")[0])
         assert 0.25 <= worst <= 0.35
+        # --nodes/--tol reach the correlated tables: a 16-node rule is refused
+        code, out, err = run_cli(capsys, "tables", "3", "--nodes", "16", "--tol", "1e-12")
+        assert code == EXIT_NUMERIC and out == ""
+        assert "quadrature no longer converging" in err
 
     def test_unknown_table_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,9 +8,9 @@ from ldpbound import (
     EXAMPLE_PORTFOLIO_TWO,
     Grade,
     GradeBoundReport,
-    NumericConfig,
     NumericError,
     Portfolio,
+    QuadratureSpec,
     allocate,
     estimate_grades,
     remediate_reversal,
@@ -112,9 +112,14 @@ class TestEstimateGrades:
         assert not any(e.vacuous for e in report.entries)
 
     def test_numeric_failure_names_the_grade(self):
-        starved = NumericConfig(node_count=16, truncation=8.0, abs_tol=1e-12)
+        starved = QuadratureSpec(node_count=16, abs_tol=1e-12)
         with pytest.raises(NumericError, match="grade A"):
-            estimate_grades(EXAMPLE_PORTFOLIO_TWO, gamma=0.5, rho=0.5, cfg=starved)
+            estimate_grades(EXAMPLE_PORTFOLIO_TWO, gamma=0.5, rho=0.5, q=starved)
+        # remediation re-solves only the flagged grade, with the rule it is given
+        report = estimate_grades(EXAMPLE_PORTFOLIO_TWO, gamma=0.5, rho=0.12)
+        assert report.reversal_flags == (("C", "D"),)
+        with pytest.raises(NumericError, match="grade D"):
+            remediate_reversal(report, starved)
 
 
 class TestRemediation:

@@ -28,6 +28,7 @@ from ldpbound import (
     beta_cdf,
     beta_quantile,
     binomial_cdf,
+    compute_table,
     conditional_pd,
     copula_diagonal,
     equicorr_density,
@@ -315,9 +316,9 @@ class TestFQuantile:
         # has left the [-8, 8] quadrature window; for 1 - 1e-16 the truncated
         # rule never reaches prob (its weights sum to 1 - 1.2e-15)
         s = MixtureShape(a=1.0, b=1.0, rho=0.12)
-        with pytest.raises(NumericError, match=r"no lower bracket above y=-40"):
+        with pytest.raises(NumericError, match=r"no lower bracket above y=-32 "):
             f_quantile(1e-300, s)
-        with pytest.raises(NumericError, match=r"no upper bracket below y=40"):
+        with pytest.raises(NumericError, match=r"no upper bracket below y=32 "):
             f_quantile(1.0 - 1e-16, s)
 
 
@@ -583,18 +584,19 @@ class TestQuadratureControls:
         with pytest.raises(DomainError):
             QuadratureSpec(node_count=1)
         with pytest.raises(DomainError):
-            QuadratureSpec(truncation=0.0)
-        with pytest.raises(DomainError):
             QuadratureSpec(abs_tol=-1e-9)
 
     def test_self_check_trips_on_starved_grid(self):
         # 128 nodes cannot resolve the steepest admissible integrand; the
         # half-size comparison must refuse the answer rather than return it
-        starved = QuadratureSpec(node_count=128, truncation=8.0, abs_tol=1e-10)
+        starved = QuadratureSpec(node_count=128, abs_tol=1e-10)
         with pytest.raises(NumericError, match="node_count"):
             f_cdf(2.0, MixtureShape(a=1493.0, b=8.0, rho=0.5), starved)
+        # the table builder hands its rule to every solve it makes
+        with pytest.raises(NumericError, match="quadrature no longer converging"):
+            compute_table(3, QuadratureSpec(node_count=16, abs_tol=1e-12))
 
     def test_generous_grid_matches_default(self):
         s = MixtureShape(a=797.0, b=4.0, rho=0.12)
-        rich = QuadratureSpec(node_count=1024, truncation=8.0, abs_tol=1e-10)
+        rich = QuadratureSpec(node_count=1024, abs_tol=1e-10)
         assert f_cdf(2.61, s, rich) == pytest.approx(f_cdf(2.61, s), abs=1e-12)
