@@ -27,6 +27,14 @@ disagree beyond the quadrature spec's abs_tol. ``f_cdf_unit_interval``
 evaluates the defining unit-interval integral directly (graded panels) and
 exists as an independent cross-check route for the Gaussian-weight
 evaluation; production code paths use the Gaussian-weight form.
+
+Two kernels evaluate the beta-normal integrand I_u(a, b). When both shapes
+are integers and b <= 64 (every bound with k < 64), I_u(a, b) is the finite
+binomial tail P(Bin(a+b-1, 1-u) <= b-1), summed in log space over b terms
+with exact coefficients; ``mixture_tail_prob`` uses the same sum. Otherwise
+(b > 64, or non-integer shapes) the incomplete-beta continued fraction
+``specfun.beta_cdf`` runs. The correlated bound re-checks its root with the
+kernel its solve did not use and refuses a residual beyond 1e-8.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .binomial import BoundQuery, BoundResult
+from .binomial import BoundQuery, BoundResult, check_residual
 from .errors import DegenerateModelError, DomainError, NumericError
 
 __all__ = [
@@ -199,21 +207,26 @@ def _validate_counts(n: int, k: int) -> None:
         raise DomainError(f"k={k!r} must be an integer in [0, n]")
 
 
-def _log_binom_coeffs(n: int, k: int) -> list[float]:
-    lg_n1 = specfun.log_gamma(n + 1.0)
-    return [
-        lg_n1 - specfun.log_gamma(i + 1.0) - specfun.log_gamma(n - i + 1.0)
-        for i in range(k + 1)
-    ]
+def _log_choose(n: int, i: int) -> float:
+    # log C(n, i) = -log(n+1) - log B(n-i+1, i+1); for i < 64 log_beta takes
+    # its product form, which avoids cancelling two large log-gamma values
+    return -math.log(n + 1.0) - specfun.log_beta(n - i + 1.0, i + 1.0)
 
 
-def _binom_tail_given_g(g: np.ndarray, n: int, k: int, lc: list[float]) -> np.ndarray:
-    # sum_{i<=k} C(n,i) g^i (1-g)^(n-i), assembled in log space; g may hit
-    # 0 or 1 exactly at the far quadrature nodes, so keep i*log(g) out of the
-    # i = 0 term (0 * -inf is NaN, not 0)
-    with np.errstate(divide="ignore"):
-        lg = np.log(g)
-        lgc = np.log1p(-g)
+@lru_cache(maxsize=64)
+def _log_choose_row(n: int, k: int) -> tuple[float, ...]:
+    return tuple(_log_choose(n, i) for i in range(k + 1))
+
+
+def _binom_tail(lg: np.ndarray, lgc: np.ndarray, n: int, k: int) -> np.ndarray:
+    """P(Bin(n, g) <= k) per lane, from lg = log g and lgc = log(1 - g).
+
+    The k+1 terms C(n,i) g^i (1-g)^(n-i) are formed in log space and summed
+    one term at a time, so memory stays at one lane array. g may be exactly
+    0 or 1 at the far quadrature nodes (lg or lgc = -inf), so the i = 0 term
+    keeps i*lg out (0 * -inf is NaN, not 0).
+    """
+    lc = _log_choose_row(n, k)
     acc = np.exp(lc[0] + n * lgc)
     for i in range(1, k + 1):
         acc += np.exp(lc[i] + i * lg + (n - i) * lgc)
@@ -231,27 +244,42 @@ def mixture_tail_prob(
     _validate_counts(n, k)
     if k == n:
         return 1.0
-    lc = _log_binom_coeffs(n, k)
 
     def integrand(x):
-        return _binom_tail_given_g(conditional_pd(m, x), n, k, lc)
+        g = conditional_pd(m, x)
+        with np.errstate(divide="ignore"):
+            return _binom_tail(np.log(g), np.log1p(-g), n, k)
 
     val = float(_integrate(integrand, q))
     return min(max(val, 0.0), 1.0)
 
 
-def _f_pass(yv: np.ndarray, s: MixtureShape, q: QuadratureSpec):
+def _summable(s: MixtureShape) -> bool:
+    # integer shapes with b <= 64 take the binomial-sum kernel
+    return s.a == int(s.a) and s.b == int(s.b) and s.b <= specfun.PRODUCT_FORM_MAX
+
+
+def _f_pass(yv: np.ndarray, s: MixtureShape, q: QuadratureSpec, summed: bool):
     """One checked quadrature pass of F at every y in ``yv``.
 
-    Returns F (clipped to [0, 1], one value per y) and the inner Phi values
-    at all nodes, full rule first, from which the solver forms F'.
+    The kernel I_u(a, b) at the inner values u = Phi(c1*x + y) is the
+    binomial sum P(Bin(a+b-1, 1-u) <= b-1) when ``summed`` (which requires
+    integer shapes; the callers pass :func:`_summable`, true for b <= 64),
+    and the continued fraction ``specfun.beta_cdf`` otherwise; the bound's
+    re-check forces the latter. Returns F (clipped to [0, 1], one value per
+    y) and the inner Phi values at all nodes, full rule first, from which the
+    solver forms F'.
     """
     c1 = math.sqrt(s.rho / (1.0 - s.rho))
     inner = []
 
     def integrand(x):
-        inner.append(specfun.std_normal_cdf(c1 * x[None, :] + yv.reshape(-1, 1)))
-        return specfun.beta_cdf(inner[0], s.a, s.b)
+        u = specfun.std_normal_cdf(c1 * x[None, :] + yv.reshape(-1, 1))
+        inner.append(u)
+        if not summed:
+            return specfun.beta_cdf(u, s.a, s.b)
+        with np.errstate(divide="ignore"):
+            return _binom_tail(np.log1p(-u), np.log(u), int(s.a + s.b) - 1, int(s.b) - 1)
 
     return np.clip(_integrate(integrand, q), 0.0, 1.0), inner[0]
 
@@ -270,7 +298,7 @@ def f_cdf(y, s: MixtureShape, q: QuadratureSpec = DEFAULT_QUADRATURE):
     yv = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(yv)):
         raise DomainError("f_cdf: y must be finite")
-    out = _f_pass(yv, s, q)[0].reshape(yv.shape)
+    out = _f_pass(yv, s, q, _summable(s))[0].reshape(yv.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -332,13 +360,16 @@ _WINDOW = _BRACKET_STEPS[-1]
 
 def _f_quantile_start(t_prob: float, s: MixtureShape) -> float:
     # F is the law of V - c1*X with V = Phi^-1(Beta(a, b)) and X standard
-    # normal: centre on V's median and widen V's spread by c1
+    # normal: centre on V's median, Phi^-1 of the beta median (Kerman's
+    # closed form (a - 1/3)/(a + b - 2/3), which needs a, b >= 1; the mean
+    # otherwise), take V's spread by the delta method (the beta sd over phi
+    # there) and widen it by c1
     c1 = math.sqrt(s.rho / (1.0 - s.rho))
-    v16, v50, v84 = (
-        specfun.std_normal_quantile(specfun.beta_quantile(t, s.a, s.b))
-        for t in (0.16, 0.5, 0.84)
-    )
-    sigma = 0.5 * (v84 - v16)
+    ab = s.a + s.b
+    median = (s.a - 1.0 / 3.0) / (ab - 2.0 / 3.0) if min(s.a, s.b) >= 1.0 else s.a / ab
+    v50 = specfun.std_normal_quantile(median)
+    sd = math.sqrt(s.a * s.b / (ab * ab * (ab + 1.0)))
+    sigma = sd / (_INV_SQRT_TWO_PI * math.exp(-0.5 * v50 * v50))
     return v50 + t_prob * math.sqrt(sigma * sigma + c1 * c1)
 
 
@@ -384,13 +415,14 @@ def _f_quantile_steps(
     # known) fails to halve the previous move is replaced by _fallback_step.
     # Returns y and the number of F evaluations.
     lb = specfun.log_beta(s.a, s.b)
+    summed = _summable(s)
     t_prob = specfun.std_normal_quantile(prob)
     lo, hi = -math.inf, math.inf
     y = min(max(_f_quantile_start(t_prob, s), -_WINDOW), _WINDOW)
     last_move = math.inf
     evals = 0
     while True:
-        f, u = _f_pass(np.array([y]), s, q)
+        f, u = _f_pass(np.array([y]), s, q, summed)
         f = float(f[0])
         evals += 1
         if f == prob:
@@ -421,8 +453,10 @@ def f_quantile(
 ) -> float:
     """Inverse of :func:`f_cdf`: the y with F(y) = prob, for prob in (0, 1).
 
-    Safeguarded Newton on Phi^-1(F(y)) = Phi^-1(prob), started from the
-    rho = 0 composition Phi^-1(I^-1(., a, b)) widened by the factor loading.
+    Safeguarded Newton on Phi^-1(F(y)) = Phi^-1(prob), started from a
+    normal approximation of F: centred on Phi^-1 of the beta median, with
+    the beta spread carried through Phi^-1 by the delta method and widened
+    by the factor loading (no beta quantile is solved).
     Each step is one quadrature pass of F, with its half-rule check, that
     also yields F' and tightens a bracket. A step that leaves the bracket
     falls back to stepping outward along +-2, 4, ..., 32 while one side is
@@ -443,8 +477,13 @@ def pd_upper_bound_correlated(
 ) -> BoundResult:
     """Upper confidence bound for p in the one-factor correlated model.
 
-    p_upper = 1 - Phi(sqrt(1-rho) * F^-1(1-gamma)); the residual reported is
-    mixture_tail_prob at the bound minus (1-gamma). k = n is vacuous.
+    p_upper = 1 - Phi(sqrt(1-rho) * F^-1(1-gamma)). The residual is F at the
+    returned quantile minus (1-gamma), re-evaluated with the kernel the solve
+    did not use: one continued-fraction pass of F (with its half-rule check)
+    after a binomial-sum solve, and the count tail ``mixture_tail_prob`` at
+    the bound (the same integral summed over k+1 binomial terms) after a
+    continued-fraction solve. |residual| > 1e-8 raises NumericError. k = n is
+    vacuous.
     """
     if query.rho is None:
         raise DomainError(
@@ -462,12 +501,14 @@ def pd_upper_bound_correlated(
     y, steps = _f_quantile_steps(1.0 - query.gamma, shape, q)
     # 1 - Phi(z) computed as Phi(-z) to keep the small-p cases accurate
     p_upper = specfun.std_normal_cdf(-math.sqrt(1.0 - query.rho) * y)
-    residual = (
-        mixture_tail_prob(
+    if _summable(shape):
+        check = float(_f_pass(np.array([y]), shape, q, False)[0][0])
+    else:
+        check = mixture_tail_prob(
             query.n, query.k, FactorModelParams(p=p_upper, rho=query.rho), q
         )
-        - (1.0 - query.gamma)
-    )
+    residual = check - (1.0 - query.gamma)
+    check_residual("pd_upper_bound_correlated", query, residual)
     return BoundResult(p_upper=p_upper, residual=residual, iterations=steps, quantile=y)
 
 
@@ -488,11 +529,7 @@ def mixture_pmf(
 ) -> float:
     """P(defaults = i) under the factor mixture."""
     _validate_counts(n, i)
-    lg_c = (
-        specfun.log_gamma(n + 1.0)
-        - specfun.log_gamma(i + 1.0)
-        - specfun.log_gamma(n - i + 1.0)
-    )
+    lg_c = _log_choose(n, i)
 
     def integrand(x):
         g = conditional_pd(m, x)

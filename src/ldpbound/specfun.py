@@ -48,6 +48,10 @@ _TINY = 1e-300
 # above eps(1.0) or converged iterates wobbling by one ulp never terminate.
 _CF_TOL = 1e-15
 
+# log_beta takes its exact product form when the smaller shape is an integer
+# up to this; the mixture module's binomial-sum kernel uses the same cutoff
+PRODUCT_FORM_MAX = 64
+
 # lane-by-lane ufuncs over the stdlib calls; they return object arrays (or a
 # bare float for 0-d input), converted back with np.asarray(..., dtype=float)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -115,9 +119,10 @@ def log_beta(a: float, b: float) -> float:
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"log_beta: shapes ({a!r}, {b!r}) must be positive")
     lo, hi = (a, b) if a <= b else (b, a)
-    if lo == int(lo) and lo <= 64.0:
+    if lo == int(lo) and lo <= PRODUCT_FORM_MAX:
         m = int(lo)
-        return log_gamma(float(m)) - math.fsum(math.log(hi + i) for i in range(m))
+        # one fsum, so the result is rounded once
+        return math.fsum([log_gamma(float(m)), *(-math.log(hi + i) for i in range(m))])
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
@@ -199,12 +204,13 @@ def _betacf_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
     )
 
 
-def _beta_cdf_scalar(x: float, a: float, b: float) -> float:
+def _beta_cdf_scalar(x: float, a: float, b: float, lb: float) -> float:
+    # lb = log_beta(a, b), passed in so Newton loops compute it once
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
-    lfront = a * math.log(x) + b * math.log1p(-x) - log_beta(a, b)
+    lfront = a * math.log(x) + b * math.log1p(-x) - lb
     if x < (a + 1.0) / (a + b + 2.0):
         return math.exp(lfront) * _betacf_scalar(a, b, x) / a
     return 1.0 - math.exp(lfront) * _betacf_scalar(b, a, 1.0 - x) / b
@@ -224,7 +230,7 @@ def beta_cdf(x, a: float, b: float):
         xf = float(x)
         if not (0.0 <= xf <= 1.0):
             raise DomainError(f"beta_cdf: x={x!r} outside [0, 1]")
-        return _beta_cdf_scalar(xf, a, b)
+        return _beta_cdf_scalar(xf, a, b, log_beta(a, b))
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise DomainError("beta_cdf: all x must lie in [0, 1]")
@@ -261,7 +267,7 @@ def _beta_quantile_steps(p: float, a: float, b: float) -> tuple[float, int]:
     lb = log_beta(a, b)
     it = 0
     for it in range(1, 200):
-        f = _beta_cdf_scalar(x, a, b) - p
+        f = _beta_cdf_scalar(x, a, b, lb) - p
         if f > 0.0:
             hi = x
         else:

@@ -25,6 +25,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,9 +433,13 @@ def test_criterion_7_mc_determinism(capsys):
         "sys.exit(main(['mc-check','--n','6','--k','1','--p','0.1',"
         "'--rho','0.5','--trials','200000','--seed','5']))"
     )
+    # the children import the same ldpbound as this process, also when it
+    # came from pytest's pythonpath setting rather than the environment
+    src = str(Path(main.__code__.co_filename).resolve().parents[1])
     runs = []
     for threads in ("1", "4"):
         env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = threads
         proc = subprocess.run(

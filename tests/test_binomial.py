@@ -9,9 +9,11 @@ import math
 import numpy as np
 import pytest
 
+import ldpbound.binomial
 from ldpbound import (
     BoundQuery,
     DomainError,
+    NumericError,
     binomial_cdf,
     pd_upper_bound_independent,
     pd_upper_bound_zero_defaults,
@@ -120,6 +122,16 @@ class TestIndependentBound:
                 achieved = binomial_cdf(n, k, res.p_upper)
                 assert abs(achieved - (1.0 - gamma)) <= 1e-10, (n, k, gamma)
                 assert abs(res.residual) <= 1e-10
+
+    def test_large_residual_is_refused(self, monkeypatch):
+        # a re-check that disagrees with the solve by 1e-7 must raise, not
+        # hand back the bound with the disagreement as a diagnostic
+        query = BoundQuery(n=800, k=3, gamma=0.9)
+        cdf = ldpbound.binomial.binomial_cdf
+        monkeypatch.setattr(ldpbound.binomial, "binomial_cdf",
+                            lambda n, k, p: cdf(n, k, p) + 1e-7)
+        with pytest.raises(NumericError, match="residual"):
+            pd_upper_bound_independent(query)
 
     def test_monotone_in_gamma(self):
         gammas = np.linspace(0.05, 0.995, 40)

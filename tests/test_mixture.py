@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import betainc
 
+from ldpbound import mixture
 from ldpbound import (
     GAMMAS,
     BoundQuery,
@@ -235,6 +237,29 @@ class TestMixtureTail:
             mixture_tail_prob(5, 6, m)
 
 
+class TestBinomialSumKernel:
+    # (n, k) of portfolio-like bound shapes up to the b = k + 1 <= 64 cutoff
+    SHAPES = ((800, 3), (2900, 40), (5405, 28), (9800, 63), (100_000, 63))
+
+    def test_matches_betainc_across_transition(self):
+        # I_u(n-k, k+1) = P(Bin(n, 1-u) <= k) on 768 lanes with g = 1 - u
+        # within 8 sd of the mean of the Beta(k+1, n-k) law that the tail
+        # turns over; scipy's betainc is the oracle (test-only)
+        for n, k in self.SHAPES:
+            mean = (k + 1) / (n + 1)
+            sd = math.sqrt(mean * (1.0 - mean) / (n + 2))
+            g = np.linspace(max(mean - 8.0 * sd, mean / 64.0), mean + 8.0 * sd, 768)
+            u = 1.0 - g
+            got = mixture._binom_tail(np.log1p(-u), np.log(u), n, k)
+            want = betainc(n - k, k + 1, u)
+            assert np.max(np.abs(got - want)) <= 1e-13, (n, k)
+
+    def test_log_coefficients_match_exact_integers(self):
+        n, k = 100_000, 63
+        got = mixture._log_choose_row(n, k)
+        assert max(abs(c - math.log(math.comb(n, i))) for i, c in enumerate(got)) <= 1e-13
+
+
 class TestFCdf:
     def test_frozen_values(self):
         s = MixtureShape(a=797.0, b=4.0, rho=RHO_BENCH)
@@ -358,6 +383,24 @@ class TestCorrelatedBound:
                     assert res.iterations <= SOLVE_BUDGET, (table_id, n, k, gamma)
                     assert res.p_upper == pytest.approx(want, abs=1e-9), \
                         (table_id, n, k, gamma)
+
+    def test_portfolio_shapes_within_five_evaluations(self):
+        for n, k in ((5405, 28), (3486, 13)):
+            for rho in (0.05, 0.12, 0.24):
+                for gamma in GAMMAS:
+                    res = pd_upper_bound_correlated(BoundQuery(n=n, k=k, gamma=gamma, rho=rho))
+                    assert res.iterations <= 5, (n, k, rho, gamma)
+
+    def test_recheck_is_independent_and_enforced(self, monkeypatch):
+        # the solve runs on the binomial sum and the re-check on the
+        # continued fraction: biasing the sum by 1e-7 moves the root, the
+        # re-check sees the bias and the bound is refused
+        query = BoundQuery(n=800, k=3, gamma=0.9, rho=0.12)
+        assert abs(pd_upper_bound_correlated(query).residual) <= 1e-12
+        kernel = mixture._binom_tail
+        monkeypatch.setattr(mixture, "_binom_tail", lambda *args: kernel(*args) + 1e-7)
+        with pytest.raises(NumericError, match="residual"):
+            pd_upper_bound_correlated(query)
 
     def test_exact_root_hit_ends_solve(self):
         # plain Newton on F lands on F == prob to the last bit here; a zero
