@@ -72,7 +72,7 @@ def fmt_percent(p: float) -> str:
 def parse_portfolio_file(path: str) -> Portfolio:
     """Read a grade,obligors,defaults CSV; errors name the offending line."""
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as err:
         raise PortfolioParseError(f"cannot open {path!r}: {err}") from err
     grades: list[Grade] = []
@@ -241,7 +241,8 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
         raise DomainError(f"grid bounds ({lo!r}, {hi!r}) must be finite with lo < hi")
     if not 0.0 < step <= hi - lo:
         raise DomainError(f"grid step {step!r} must be positive and span the range")
-    count = int(round((hi - lo) / step))
+    # end at the last point <= hi; the slack absorbs 0.998 / 0.001 = 997.99...
+    count = math.floor((hi - lo) / step + 1e-9)
     return lo + step * np.arange(count + 1)
 
 
@@ -355,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     quad_parent = argparse.ArgumentParser(add_help=False)
     quad_parent.add_argument(
-        "--nodes", type=int, default=512, help="quadrature node count (default 512)"
+        "--nodes", type=int, default=512, help="trapezoid intervals on [-8, 8] (default 512)"
     )
     quad_parent.add_argument(
         "--tol", type=float, default=1e-10,

@@ -20,20 +20,23 @@ conditional default probability. This module computes:
 * ``equicorr_density``      closed-form equicorrelated multivariate normal
   density
 
-All Gaussian-weight integrals use Gauss-Legendre on the fixed window [-8, 8]
-(512 nodes by default) with an embedded accuracy check: the full rule is
-compared against the 256-node half rule and NumericError is raised if they
-disagree beyond the quadrature spec's abs_tol. ``f_cdf_unit_interval``
-evaluates the defining unit-interval integral directly (graded panels) and
-exists as an independent cross-check route for the Gaussian-weight
-evaluation; production code paths use the Gaussian-weight form.
+All Gaussian-weight integrals use one trapezoid grid on the fixed window
+[-8, 8] (512 intervals by default), its weights folded with the normal
+density. Against that weight the trapezoid rule converges exponentially
+(Trefethen & Weideman, SIAM Review 56(3), 2014) and nests: the half rule is
+every other node with doubled weights, so one kernel evaluation gives both,
+and NumericError is raised if they disagree beyond the quadrature spec's
+abs_tol. ``f_cdf_unit_interval`` evaluates the defining unit-interval
+integral directly (graded Gauss-Legendre panels) and exists as an
+independent cross-check route for the Gaussian-weight evaluation;
+production code paths use the Gaussian-weight form.
 
 Two kernels evaluate the beta-normal integrand I_u(a, b). When both shapes
 are integers and b <= 64 (every bound with k < 64), I_u(a, b) is the finite
 binomial tail P(Bin(a+b-1, 1-u) <= b-1), summed in log space over b terms
 with exact coefficients; ``mixture_tail_prob`` uses the same sum. Otherwise
 (b > 64, or non-integer shapes) the incomplete-beta continued fraction
-``specfun.beta_cdf`` runs. The correlated bound re-checks its root with the
+``specfun.beta_cdf`` runs. The correlated bound re-checks its root on the
 kernel its solve did not use and refuses a residual beyond 1e-8.
 """
 
@@ -105,19 +108,20 @@ class MixtureShape:
 
 
 # The window [-T, T] with T = 8 truncates at most 2*Phi(-8) ~ 1.2e-15 of
-# mass, far below abs_tol, while keeping the Gaussian resolvable by the
-# half-size rule (the degree needed grows like T^2, so a wider window only
-# hurts).
+# mass, far below abs_tol. The trapezoid spacing is 2T / node_count, so a
+# wider window only coarsens the grid that resolves the kernel's transition.
 _TRUNCATION = 8.0
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre settings for the Gaussian-weight integrals on [-8, 8].
+    """Trapezoid settings for the Gaussian-weight integrals on [-8, 8].
 
-    node_count = 512 leaves the half rule at 256 nodes, whose worst measured
-    error across the steepest admissible integrands (shape 1493 at
-    rho = 0.5) is ~9e-13, two orders inside the default abs_tol.
+    node_count counts intervals. 512 leaves the half rule at 256, whose
+    worst measured error at shape 1493, rho = 0.5 is ~3e-13 (the floor of a
+    4096-node Gauss-Legendre reference), two orders inside the default
+    abs_tol. At the steeper (9800, 64) the half rule is off by ~5e-7, and
+    the check refuses values whose full rule is still at that floor.
     """
 
     node_count: int = 512
@@ -134,35 +138,35 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 @lru_cache(maxsize=64)
-def _gauss_nodes(node_count: int):
-    # nodes scaled to [-T, T]; weights folded with the normal density so the
-    # integrand never sees the weight function
-    x, w = np.polynomial.legendre.leggauss(node_count)
-    x = x * _TRUNCATION
-    wphi = w * _TRUNCATION * np.exp(-0.5 * x * x) * _INV_SQRT_TWO_PI
+def _grid(node_count: int):
+    # node_count + 1 equispaced nodes on [-T, T]; trapezoid weights folded
+    # with the normal density so the integrand never sees the weight function
+    x = np.linspace(-_TRUNCATION, _TRUNCATION, node_count + 1)
+    w = (2.0 * _TRUNCATION / node_count) * np.exp(-0.5 * x * x) * _INV_SQRT_TWO_PI
+    w[[0, -1]] *= 0.5
     x.flags.writeable = False
-    wphi.flags.writeable = False
-    return x, wphi
+    w.flags.writeable = False
+    return x, w
 
 
 def _integrate(fn, spec: QuadratureSpec):
-    """Integrate fn(x) * phi(x) dx over [-T, T].
+    """Integrate fn(x) * phi(x) dx over [-T, T] on the trapezoid grid.
 
     ``fn`` maps a node vector to values whose LAST axis is the node axis, so
     a whole grid of integrals can share one call. Accuracy control: the
-    node_count rule against the node_count/2 rule; disagreement beyond
-    abs_tol raises NumericError.
+    node_count-interval rule against its half rule (the even-indexed nodes,
+    weights doubled) on the same values; disagreement beyond abs_tol raises
+    NumericError.
     """
-    xf, wf = _gauss_nodes(spec.node_count)
-    xh, wh = _gauss_nodes(max(spec.node_count // 2, 2))
-    vals = fn(np.concatenate([xf, xh]))
-    full = vals[..., : xf.size] @ wf
-    half = vals[..., xf.size :] @ wh
+    x, w = _grid(spec.node_count)
+    vals = fn(x)
+    full = vals @ w
+    half = 2.0 * (vals[..., ::2] @ w[::2])
     err = float(np.max(np.abs(full - half)))
     if err > spec.abs_tol:
         raise NumericError(
             f"quadrature no longer converging: |I_{spec.node_count} - "
-            f"I_{max(spec.node_count // 2, 2)}| = {err:.3e} exceeds abs_tol="
+            f"I_{spec.node_count // 2}| = {err:.3e} exceeds abs_tol="
             f"{spec.abs_tol:.1e}; raise node_count or loosen abs_tol"
         )
     return full
@@ -263,12 +267,12 @@ def _f_pass(yv: np.ndarray, s: MixtureShape, q: QuadratureSpec, summed: bool):
     """One checked quadrature pass of F at every y in ``yv``.
 
     The kernel I_u(a, b) at the inner values u = Phi(c1*x + y) is the
-    binomial sum P(Bin(a+b-1, 1-u) <= b-1) when ``summed`` (which requires
-    integer shapes; the callers pass :func:`_summable`, true for b <= 64),
-    and the continued fraction ``specfun.beta_cdf`` otherwise; the bound's
-    re-check forces the latter. Returns F (clipped to [0, 1], one value per
-    y) and the inner Phi values at all nodes, full rule first, from which the
-    solver forms F'.
+    binomial sum P(Bin(a+b-1, 1-u) <= b-1) when ``summed``, exact for every
+    integer shape, and the continued fraction ``specfun.beta_cdf``
+    otherwise. The solve prefers the sum only where :func:`_summable`
+    (b <= 64); the bound's re-check takes the kernel its solve did not.
+    Returns F (clipped to [0, 1], one value per y) and the inner Phi values
+    at every node, from which the solver forms F'.
     """
     c1 = math.sqrt(s.rho / (1.0 - s.rho))
     inner = []
@@ -375,17 +379,17 @@ def _f_quantile_start(t_prob: float, s: MixtureShape) -> float:
 
 def _f_slope(y: float, u: np.ndarray, s: MixtureShape, q: QuadratureSpec, lb: float) -> float:
     # F'(y) = integral phi(x) b_{a,b}(u) phi(z) dx with z = c1*x + y and
-    # u = Phi(z) from the same pass, on the full-rule nodes. It only steers
-    # the step, so it is never checked. Nodes where u is exactly 0 or 1
+    # u = Phi(z) from the same pass, on the same grid. It only steers the
+    # step, so it is never checked. Nodes where u is exactly 0 or 1
     # contribute 0 (phi(z) has underflowed there, and a = 1 or b = 1 would
     # otherwise give 0 * log 0).
-    xf, wf = _gauss_nodes(q.node_count)
-    u = u[0, : xf.size]
-    z = math.sqrt(s.rho / (1.0 - s.rho)) * xf + y
+    x, w = _grid(q.node_count)
+    u = u[0]
+    z = math.sqrt(s.rho / (1.0 - s.rho)) * x + y
     inside = (u > 0.0) & (u < 1.0)
     uc = np.where(inside, u, 0.5)
     log_dens = (s.a - 1.0) * np.log(uc) + (s.b - 1.0) * np.log1p(-uc) - lb - 0.5 * z * z
-    return _INV_SQRT_TWO_PI * float(np.where(inside, np.exp(log_dens), 0.0) @ wf)
+    return _INV_SQRT_TWO_PI * float(np.where(inside, np.exp(log_dens), 0.0) @ w)
 
 
 def _fallback_step(lo: float, hi: float, prob: float) -> float:
@@ -478,12 +482,11 @@ def pd_upper_bound_correlated(
     """Upper confidence bound for p in the one-factor correlated model.
 
     p_upper = 1 - Phi(sqrt(1-rho) * F^-1(1-gamma)). The residual is F at the
-    returned quantile minus (1-gamma), re-evaluated with the kernel the solve
-    did not use: one continued-fraction pass of F (with its half-rule check)
-    after a binomial-sum solve, and the count tail ``mixture_tail_prob`` at
-    the bound (the same integral summed over k+1 binomial terms) after a
-    continued-fraction solve. |residual| > 1e-8 raises NumericError. k = n is
-    vacuous.
+    returned quantile minus (1-gamma), re-evaluated by one more quadrature
+    pass of F (with its half-rule check) on the kernel the solve did not
+    use: the continued fraction after a binomial-sum solve (k < 64), the
+    binomial sum after a continued-fraction solve. |residual| > 1e-8 raises
+    NumericError. k = n is vacuous.
     """
     if query.rho is None:
         raise DomainError(
@@ -501,12 +504,7 @@ def pd_upper_bound_correlated(
     y, steps = _f_quantile_steps(1.0 - query.gamma, shape, q)
     # 1 - Phi(z) computed as Phi(-z) to keep the small-p cases accurate
     p_upper = specfun.std_normal_cdf(-math.sqrt(1.0 - query.rho) * y)
-    if _summable(shape):
-        check = float(_f_pass(np.array([y]), shape, q, False)[0][0])
-    else:
-        check = mixture_tail_prob(
-            query.n, query.k, FactorModelParams(p=p_upper, rho=query.rho), q
-        )
+    check = float(_f_pass(np.array([y]), shape, q, not _summable(shape))[0][0])
     residual = check - (1.0 - query.gamma)
     check_residual("pd_upper_bound_correlated", query, residual)
     return BoundResult(p_upper=p_upper, residual=residual, iterations=steps, quantile=y)

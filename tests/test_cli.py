@@ -115,6 +115,15 @@ class TestPortfolioCommand:
             ("A", 100, 0), ("B", 400, 2), ("C", 300, 1),
         ]
 
+    def test_byte_order_mark_is_accepted(self, tmp_path, capsys):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        code, out, _ = run_cli(capsys, "portfolio", "--emit-template")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(out, encoding="utf-8")
+        marked.write_text(out, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_portfolio_file(str(marked)) == parse_portfolio_file(str(plain))
+
     def test_table_output_matches_library(self, tmp_path, capsys):
         path = tmp_path / "ex1.csv"
         path.write_text(EX1_CSV, encoding="utf-8")
@@ -329,6 +338,19 @@ class TestDensityCommand:
         m = FactorModelParams(p=0.1, rho=0.12)
         want = vasicek_cdf(xs, m)
         assert np.max(np.abs(vals - want)) <= 1e-9
+
+    @pytest.mark.parametrize("argv, want", [
+        (("--kind", "f-density", "--alpha", "797", "--beta", "4", "--rho", "0.12",
+          "--lo", "-4", "--hi", "4", "--step", "3"), [-4.0, -1.0, 2.0]),
+        (("--kind", "vasicek", "--p", "0.01", "--rho", "0.12",
+          "--lo", "0.001", "--hi", "0.999", "--step", "0.6"), [0.001, 0.601]),
+    ], ids=["f-density", "vasicek"])
+    def test_grid_ends_at_last_point_within_hi(self, capsys, argv, want):
+        # a step that does not divide the range stops short of --hi
+        code, out, _ = run_cli(capsys, "density", *argv)
+        assert code == EXIT_OK
+        xs, _ = self.parse_rows(out)
+        assert xs.tolist() == pytest.approx(want, abs=1e-12)
 
     def test_missing_shape_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "density", "--kind", "f-density", "--rho", "0.5")

@@ -7,7 +7,11 @@ independently implemented routes to each other.
 """
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,6 +361,11 @@ class TestCorrelatedBound:
     def test_frozen_stress_cell(self):
         res = pd_upper_bound_correlated(BoundQuery(n=150, k=1, gamma=0.999, rho=0.12))
         assert res.p_upper == pytest.approx(CORR_BOUND_150_1_G0999_R012, abs=1e-9)
+        # a steep transition (k = 200) that the default grid must resolve;
+        # the value is a 4096-node Gauss-Legendre solve
+        res = pd_upper_bound_correlated(BoundQuery(n=10000, k=200, gamma=0.99, rho=0.12))
+        assert res.p_upper == pytest.approx(0.13196125896300973, abs=1e-9)
+        assert abs(res.residual) <= 1e-8
 
     def test_defining_equation_across_benchmark_cells(self):
         # P(D <= k at p_upper) must equal 1-gamma to 1e-6 on every grid cell
@@ -392,15 +401,21 @@ class TestCorrelatedBound:
                     assert res.iterations <= 5, (n, k, rho, gamma)
 
     def test_recheck_is_independent_and_enforced(self, monkeypatch):
-        # the solve runs on the binomial sum and the re-check on the
-        # continued fraction: biasing the sum by 1e-7 moves the root, the
-        # re-check sees the bias and the bound is refused
-        query = BoundQuery(n=800, k=3, gamma=0.9, rho=0.12)
-        assert abs(pd_upper_bound_correlated(query).residual) <= 1e-12
-        kernel = mixture._binom_tail
-        monkeypatch.setattr(mixture, "_binom_tail", lambda *args: kernel(*args) + 1e-7)
-        with pytest.raises(NumericError, match="residual"):
-            pd_upper_bound_correlated(query)
+        # the re-check runs on the kernel the solve did not use: k < 64
+        # solves on the binomial sum and re-checks on the continued fraction,
+        # k >= 64 the other way round. Biasing the solve's kernel by 1e-7
+        # moves the root, the re-check sees the bias and the bound is refused
+        cases = (
+            (BoundQuery(n=800, k=3, gamma=0.9, rho=0.12), mixture, "_binom_tail"),
+            (BoundQuery(n=3000, k=80, gamma=0.5, rho=0.12), mixture.specfun, "beta_cdf"),
+        )
+        for query, module, name in cases:
+            assert abs(pd_upper_bound_correlated(query).residual) <= 1e-12, query
+            kernel = getattr(module, name)
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, lambda *args, f=kernel: f(*args) + 1e-7)
+                with pytest.raises(NumericError, match="residual"):
+                    pd_upper_bound_correlated(query)
 
     def test_exact_root_hit_ends_solve(self):
         # plain Newton on F lands on F == prob to the last bit here; a zero
@@ -638,6 +653,38 @@ class TestQuadratureControls:
         # the table builder hands its rule to every solve it makes
         with pytest.raises(NumericError, match="quadrature no longer converging"):
             compute_table(3, QuadratureSpec(node_count=16, abs_tol=1e-12))
+
+    def test_gaussian_weight_paths_build_no_gauss_legendre_rule(self):
+        # a fresh process, so no node cache is warm: with leggauss refused,
+        # every Gaussian-weight integral still runs, and only the
+        # unit-interval reference route needs it
+        script = (
+            "import numpy as np\n"
+            "def refuse(*args):\n"
+            "    raise RuntimeError('leggauss refused')\n"
+            "np.polynomial.legendre.leggauss = refuse\n"
+            "from ldpbound import *\n"
+            "m = FactorModelParams(p=0.01, rho=0.12)\n"
+            "s = MixtureShape(a=797.0, b=4.0, rho=0.12)\n"
+            "print(pd_upper_bound_correlated(BoundQuery(n=800, k=3, gamma=0.9, rho=0.12)).p_upper)\n"
+            "print(f_quantile(0.5, s))\n"
+            "print(mixture_tail_prob(800, 3, m))\n"
+            "print(mixture_pmf(800, 3, m))\n"
+            "print(copula_diagonal(5, m))\n"
+            "try:\n"
+            "    f_cdf_unit_interval(2.61, s)\n"
+            "except RuntimeError:\n"
+            "    print('refused')\n"
+        )
+        src = str(Path(mixture.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        lines = proc.stdout.decode().split()
+        assert lines[-1] == "refused"
+        assert all(math.isfinite(float(v)) for v in lines[:-1]) and len(lines) == 6
 
     def test_generous_grid_matches_default(self):
         s = MixtureShape(a=797.0, b=4.0, rho=0.12)
