@@ -30,6 +30,7 @@ from .conservatism import GradeBoundReport, Grade, Portfolio, estimate_grades, r
 from .errors import DomainError, NumericError
 from .mc import McConfig, simulate_default_count_tail
 from .mixture import (
+    DEFAULT_QUADRATURE,
     FactorModelParams,
     MixtureShape,
     QuadratureSpec,
@@ -149,19 +150,6 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _render_report_rows(report: GradeBoundReport):
-    for entry in report.entries:
-        yield {
-            "gamma": report.gamma,
-            "grade": entry.name,
-            "n_used": entry.n_used,
-            "k_used": entry.k_used,
-            "p_upper": entry.p_upper,
-            "percent": fmt_percent(entry.p_upper),
-            "vacuous": entry.vacuous,
-        }
-
-
 def cmd_portfolio(args) -> int:
     if args.emit_template:
         sys.stdout.write(PORTFOLIO_TEMPLATE)
@@ -193,18 +181,18 @@ def cmd_portfolio(args) -> int:
         for report in reports:
             flagged = {riskier: safer for safer, riskier in report.reversal_flags}
             adjusted = report.adjusted_k or {}
-            for row in _render_report_rows(report):
+            for e in report.entries:
                 notes = []
-                if row["grade"] in flagged:
-                    notes.append(f"below-{flagged[row['grade']]}")
-                if row["grade"] in adjusted:
-                    notes.append(f"k+{adjusted[row['grade']]}")
-                if row["vacuous"]:
+                if e.name in flagged:
+                    notes.append(f"below-{flagged[e.name]}")
+                if e.name in adjusted:
+                    notes.append(f"k+{adjusted[e.name]}")
+                if e.vacuous:
                     notes.append("vacuous")
                 writer.writerow(
                     [
-                        row["gamma"], row["grade"], row["n_used"], row["k_used"],
-                        repr(row["p_upper"]), row["percent"], ";".join(notes),
+                        report.gamma, e.name, e.n_used, e.k_used,
+                        repr(e.p_upper), fmt_percent(e.p_upper), ";".join(notes),
                     ]
                 )
         return EXIT_OK
@@ -213,11 +201,11 @@ def cmd_portfolio(args) -> int:
         rho_txt = "independent" if report.rho is None else f"rho={report.rho}"
         print(f"gamma={report.gamma} ({rho_txt})")
         print(f"  {'grade':<8}{'n_used':>8}{'k_used':>8}{'p_upper':>10}")
-        for row in _render_report_rows(report):
-            suffix = "  (vacuous)" if row["vacuous"] else ""
+        for e in report.entries:
+            suffix = "  (vacuous)" if e.vacuous else ""
             print(
-                f"  {row['grade']:<8}{row['n_used']:>8}{row['k_used']:>8}"
-                f"{row['percent']:>10}{suffix}"
+                f"  {e.name:<8}{e.n_used:>8}{e.k_used:>8}"
+                f"{fmt_percent(e.p_upper):>10}{suffix}"
             )
         for safer, riskier in report.reversal_flags:
             print(f"  reversal: {riskier} bounds below {safer}")
@@ -355,12 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     quad_parent = argparse.ArgumentParser(add_help=False)
+    nodes, tol = DEFAULT_QUADRATURE.node_count, DEFAULT_QUADRATURE.abs_tol
     quad_parent.add_argument(
-        "--nodes", type=int, default=512, help="trapezoid intervals on [-8, 8] (default 512)"
+        "--nodes", type=int, default=nodes, help=f"trapezoid intervals on [-8, 8] (default {nodes})"
     )
     quad_parent.add_argument(
-        "--tol", type=float, default=1e-10,
-        help="quadrature convergence tolerance (default 1e-10)",
+        "--tol", type=float, default=tol,
+        help=f"quadrature convergence tolerance (default {tol})",
     )
 
     p_bound = sub.add_parser(

@@ -34,10 +34,11 @@ production code paths use the Gaussian-weight form.
 Two kernels evaluate the beta-normal integrand I_u(a, b). When both shapes
 are integers and b <= 64 (every bound with k < 64), I_u(a, b) is the finite
 binomial tail P(Bin(a+b-1, 1-u) <= b-1), summed in log space over b terms
-with exact coefficients; ``mixture_tail_prob`` uses the same sum. Otherwise
-(b > 64, or non-integer shapes) the incomplete-beta continued fraction
-``specfun.beta_cdf`` runs. The correlated bound re-checks its root on the
-kernel its solve did not use and refuses a residual beyond 1e-8.
+whose coefficients are the logarithms of the exact integers C(n, i);
+``mixture_tail_prob`` uses the same sum. Otherwise (b > 64, or non-integer
+shapes) the incomplete-beta continued fraction ``specfun.beta_cdf`` runs.
+The correlated bound re-checks its root on the kernel its solve did not use
+and refuses a residual beyond 1e-8.
 """
 
 from __future__ import annotations
@@ -149,17 +150,16 @@ def _grid(node_count: int):
     return x, w
 
 
-def _integrate(fn, spec: QuadratureSpec):
-    """Integrate fn(x) * phi(x) dx over [-T, T] on the trapezoid grid.
+def _integrate(vals: np.ndarray, spec: QuadratureSpec):
+    """Integrate f(x) * phi(x) dx over [-T, T] from f's values on the grid.
 
-    ``fn`` maps a node vector to values whose LAST axis is the node axis, so
-    a whole grid of integrals can share one call. Accuracy control: the
-    node_count-interval rule against its half rule (the even-indexed nodes,
-    weights doubled) on the same values; disagreement beyond abs_tol raises
-    NumericError.
+    ``vals`` holds f at the nodes ``_grid(spec.node_count)[0]`` on its LAST
+    axis, so a whole grid of integrals can share one call. Accuracy control:
+    the node_count-interval rule against its half rule (the even-indexed
+    nodes, weights doubled) on the same values; disagreement beyond abs_tol
+    raises NumericError.
     """
-    x, w = _grid(spec.node_count)
-    vals = fn(x)
+    w = _grid(spec.node_count)[1]
     full = vals @ w
     half = 2.0 * (vals[..., ::2] @ w[::2])
     err = float(np.max(np.abs(full - half)))
@@ -211,24 +211,24 @@ def _validate_counts(n: int, k: int) -> None:
         raise DomainError(f"k={k!r} must be an integer in [0, n]")
 
 
-def _log_choose(n: int, i: int) -> float:
-    # log C(n, i) = -log(n+1) - log B(n-i+1, i+1); for i < 64 log_beta takes
-    # its product form, which avoids cancelling two large log-gamma values
-    return -math.log(n + 1.0) - specfun.log_beta(n - i + 1.0, i + 1.0)
-
-
-@lru_cache(maxsize=64)
-def _log_choose_row(n: int, k: int) -> tuple[float, ...]:
-    return tuple(_log_choose(n, i) for i in range(k + 1))
+def _log_choose_row(n: int, k: int) -> list[float]:
+    # log C(n, i) for i = 0..k, each the log of an exact integer (rounded once)
+    c = 1
+    row = [0.0]
+    for i in range(k):
+        c = c * (n - i) // (i + 1)
+        row.append(math.log(c))
+    return row
 
 
 def _binom_tail(lg: np.ndarray, lgc: np.ndarray, n: int, k: int) -> np.ndarray:
     """P(Bin(n, g) <= k) per lane, from lg = log g and lgc = log(1 - g).
 
-    The k+1 terms C(n,i) g^i (1-g)^(n-i) are formed in log space and summed
-    one term at a time, so memory stays at one lane array. g may be exactly
-    0 or 1 at the far quadrature nodes (lg or lgc = -inf), so the i = 0 term
-    keeps i*lg out (0 * -inf is NaN, not 0).
+    The k+1 terms C(n,i) g^i (1-g)^(n-i) are formed in log space, with
+    log C(n,i) taken from the exact integer, and summed one term at a time,
+    so memory stays at one lane array. g may be exactly 0 or 1 at the far
+    quadrature nodes (lg or lgc = -inf), so the i = 0 term keeps i*lg out
+    (0 * -inf is NaN, not 0).
     """
     lc = _log_choose_row(n, k)
     acc = np.exp(lc[0] + n * lgc)
@@ -248,19 +248,20 @@ def mixture_tail_prob(
     _validate_counts(n, k)
     if k == n:
         return 1.0
-
-    def integrand(x):
-        g = conditional_pd(m, x)
-        with np.errstate(divide="ignore"):
-            return _binom_tail(np.log(g), np.log1p(-g), n, k)
-
-    val = float(_integrate(integrand, q))
+    g = conditional_pd(m, _grid(q.node_count)[0])
+    with np.errstate(divide="ignore"):
+        vals = _binom_tail(np.log(g), np.log1p(-g), n, k)
+    val = float(_integrate(vals, q))
     return min(max(val, 0.0), 1.0)
 
 
+# integer shapes with b up to this evaluate F by the b-term binomial sum,
+# the rest by the continued fraction; the bound re-checks on the other one
+_SUM_MAX_B = 64
+
+
 def _summable(s: MixtureShape) -> bool:
-    # integer shapes with b <= 64 take the binomial-sum kernel
-    return s.a == int(s.a) and s.b == int(s.b) and s.b <= specfun.PRODUCT_FORM_MAX
+    return s.a == int(s.a) and s.b == int(s.b) and s.b <= _SUM_MAX_B
 
 
 def _f_pass(yv: np.ndarray, s: MixtureShape, q: QuadratureSpec, summed: bool):
@@ -271,21 +272,19 @@ def _f_pass(yv: np.ndarray, s: MixtureShape, q: QuadratureSpec, summed: bool):
     integer shape, and the continued fraction ``specfun.beta_cdf``
     otherwise. The solve prefers the sum only where :func:`_summable`
     (b <= 64); the bound's re-check takes the kernel its solve did not.
-    Returns F (clipped to [0, 1], one value per y) and the inner Phi values
-    at every node, from which the solver forms F'.
+    Returns F (clipped to [0, 1], one value per y) and, one row per y, the
+    inner arguments z = c1*x + y and values u = Phi(z) at every node, from
+    which the solver forms F'.
     """
     c1 = math.sqrt(s.rho / (1.0 - s.rho))
-    inner = []
-
-    def integrand(x):
-        u = specfun.std_normal_cdf(c1 * x[None, :] + yv.reshape(-1, 1))
-        inner.append(u)
-        if not summed:
-            return specfun.beta_cdf(u, s.a, s.b)
+    z = c1 * _grid(q.node_count)[0] + yv.reshape(-1, 1)
+    u = specfun.std_normal_cdf(z)
+    if summed:
         with np.errstate(divide="ignore"):
-            return _binom_tail(np.log1p(-u), np.log(u), int(s.a + s.b) - 1, int(s.b) - 1)
-
-    return np.clip(_integrate(integrand, q), 0.0, 1.0), inner[0]
+            vals = _binom_tail(np.log1p(-u), np.log(u), int(s.a + s.b) - 1, int(s.b) - 1)
+    else:
+        vals = specfun.beta_cdf(u, s.a, s.b)
+    return np.clip(_integrate(vals, q), 0.0, 1.0), z, u
 
 
 def f_cdf(y, s: MixtureShape, q: QuadratureSpec = DEFAULT_QUADRATURE):
@@ -377,15 +376,15 @@ def _f_quantile_start(t_prob: float, s: MixtureShape) -> float:
     return v50 + t_prob * math.sqrt(sigma * sigma + c1 * c1)
 
 
-def _f_slope(y: float, u: np.ndarray, s: MixtureShape, q: QuadratureSpec, lb: float) -> float:
+def _f_slope(
+    z: np.ndarray, u: np.ndarray, s: MixtureShape, q: QuadratureSpec, lb: float
+) -> float:
     # F'(y) = integral phi(x) b_{a,b}(u) phi(z) dx with z = c1*x + y and
-    # u = Phi(z) from the same pass, on the same grid. It only steers the
-    # step, so it is never checked. Nodes where u is exactly 0 or 1
-    # contribute 0 (phi(z) has underflowed there, and a = 1 or b = 1 would
+    # u = Phi(z) at every node from the same pass of F at one y. It only
+    # steers the step, so it is never checked. Nodes where u is exactly 0 or
+    # 1 contribute 0 (phi(z) has underflowed there, and a = 1 or b = 1 would
     # otherwise give 0 * log 0).
-    x, w = _grid(q.node_count)
-    u = u[0]
-    z = math.sqrt(s.rho / (1.0 - s.rho)) * x + y
+    w = _grid(q.node_count)[1]
     inside = (u > 0.0) & (u < 1.0)
     uc = np.where(inside, u, 0.5)
     log_dens = (s.a - 1.0) * np.log(uc) + (s.b - 1.0) * np.log1p(-uc) - lb - 0.5 * z * z
@@ -426,7 +425,7 @@ def _f_quantile_steps(
     last_move = math.inf
     evals = 0
     while True:
-        f, u = _f_pass(np.array([y]), s, q, summed)
+        f, z, u = _f_pass(np.array([y]), s, q, summed)
         f = float(f[0])
         evals += 1
         if f == prob:
@@ -435,7 +434,7 @@ def _f_quantile_steps(
             lo = y
         else:
             hi = y
-        slope = _f_slope(y, u, s, q, lb)
+        slope = _f_slope(z[0], u[0], s, q, lb)
         step = math.nan
         if slope > 0.0 and 0.0 < f < 1.0:
             t = specfun.std_normal_quantile(f)
@@ -527,19 +526,14 @@ def mixture_pmf(
 ) -> float:
     """P(defaults = i) under the factor mixture."""
     _validate_counts(n, i)
-    lg_c = _log_choose(n, i)
-
-    def integrand(x):
-        g = conditional_pd(m, x)
-        with np.errstate(divide="ignore"):
-            lg = np.log(g)
-            lgc = np.log1p(-g)
-        e = lg_c + (n - i) * lgc
-        if i:
-            e = e + i * lg
-        return np.exp(e)
-
-    val = float(_integrate(integrand, q))
+    g = conditional_pd(m, _grid(q.node_count)[0])
+    with np.errstate(divide="ignore"):
+        lg = np.log(g)
+        lgc = np.log1p(-g)
+    e = math.log(math.comb(n, i)) + (n - i) * lgc
+    if i:
+        e = e + i * lg
+    val = float(_integrate(np.exp(e), q))
     return min(max(val, 0.0), 1.0)
 
 
@@ -554,13 +548,10 @@ def mixture_mgf(
     # cap the exponential: beyond this the power below overflows to inf
     # anyway, and a finite et avoids 0*inf at nodes where g underflows
     et = math.exp(min(tf, 700.0))
-
-    def integrand(x):
-        g = conditional_pd(m, x)
-        with np.errstate(over="ignore"):
-            return (1.0 - g + g * et) ** n
-
-    return float(_integrate(integrand, q))
+    g = conditional_pd(m, _grid(q.node_count)[0])
+    with np.errstate(over="ignore"):
+        vals = (1.0 - g + g * et) ** n
+    return float(_integrate(vals, q))
 
 
 def copula_diagonal(
@@ -574,11 +565,8 @@ def copula_diagonal(
     """
     if int(n) != n or n < 1:
         raise DomainError(f"copula_diagonal: n={n!r} must be a positive integer")
-
-    def integrand(x):
-        return (1.0 - conditional_pd(m, x)) ** n
-
-    val = float(_integrate(integrand, q))
+    g = conditional_pd(m, _grid(q.node_count)[0])
+    val = float(_integrate((1.0 - g) ** n, q))
     return min(max(val, 0.0), 1.0)
 
 

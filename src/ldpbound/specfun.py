@@ -49,7 +49,7 @@ _TINY = 1e-300
 _CF_TOL = 1e-15
 
 # log_beta takes its exact product form when the smaller shape is an integer
-# up to this; the mixture module's binomial-sum kernel uses the same cutoff
+# up to this
 PRODUCT_FORM_MAX = 64
 
 # lane-by-lane ufuncs over the stdlib calls; they return object arrays (or a

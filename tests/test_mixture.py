@@ -1,9 +1,10 @@
 """Tests for the one-factor mixture distributions and the correlated bound.
 
 Oracles: the frozen high-precision constants in _frozen, stdlib/scipy
-integration (test-side only) for the Vasicek mean, dense numpy linear
-algebra for the equicorrelated density, and structural identities that tie
-independently implemented routes to each other.
+integration (test-side only) for the Vasicek mean, 40-digit decimal
+logarithms for the binomial coefficients, dense numpy linear algebra for the
+equicorrelated density, and structural identities that tie independently
+implemented routes to each other.
 """
 
 import math
@@ -11,6 +12,7 @@ import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from scipy.special import betainc
 
 from ldpbound import mixture
 from ldpbound import (
+    DEFAULT_QUADRATURE,
     GAMMAS,
     BoundQuery,
     DegenerateModelError,
@@ -129,6 +132,9 @@ class TestConditionalPd:
             FactorModelParams(p=0.0, rho=0.1)
         with pytest.raises(DomainError):
             FactorModelParams(p=0.5, rho=1.0)
+        for a, b, rho in ((0.0, 2.0, 0.1), (5.0, -1.0, 0.1), (5.0, 2.0, -0.1), (5.0, 2.0, 1.0)):
+            with pytest.raises(DomainError):
+                MixtureShape(a=a, b=b, rho=rho)
 
 
 class TestVasicekCdf:
@@ -215,8 +221,9 @@ class TestMixtureTail:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_count_tail_matches_beta_route_everywhere(self):
-        # the discrete-count route and the continuous F route are built from
-        # different integrands; they must agree to 1e-8 across the whole
+        # for k < 64 the count route and the F route both sum _binom_tail on
+        # the same nodes (g against 1 - u); the unit-interval route is the
+        # independent one. All three must agree to 1e-8 across the whole
         # admissible box, including the stressed rho = 0.5 corner
         for n in (6, 150, 800):
             for k in (0, 1, 3):
@@ -259,9 +266,14 @@ class TestBinomialSumKernel:
             assert np.max(np.abs(got - want)) <= 1e-13, (n, k)
 
     def test_log_coefficients_match_exact_integers(self):
-        n, k = 100_000, 63
-        got = mixture._log_choose_row(n, k)
-        assert max(abs(c - math.log(math.comb(n, i))) for i, c in enumerate(got)) <= 1e-13
+        # oracle: the 40-digit decimal logarithm of the same exact integer
+        for n, k in self.SHAPES:
+            got = mixture._log_choose_row(n, k)
+            with localcontext() as ctx:
+                ctx.prec = 40
+                want = [float(Decimal(math.comb(n, i)).ln()) for i in range(k + 1)]
+            assert len(got) == k + 1
+            assert max(abs(c - w) for c, w in zip(got, want)) <= 1e-13, (n, k)
 
 
 class TestFCdf:
@@ -301,6 +313,16 @@ class TestFCdf:
         for y in (1.5, 2.61, 3.5):
             assert f_cdf_unit_interval(y, s) == pytest.approx(f_cdf(y, s), abs=1e-8)
 
+    def test_rejects_non_finite_y(self):
+        s = MixtureShape(a=797.0, b=4.0, rho=0.12)
+        for y in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                f_cdf(y, s)
+            with pytest.raises(DomainError):
+                f_cdf(np.array([0.0, y]), s)
+            with pytest.raises(DomainError):
+                f_cdf_unit_interval(y, s)
+
 
 class TestFQuantile:
     def test_frozen_values(self):
@@ -338,6 +360,16 @@ class TestFQuantile:
         for prob in (0.0, 1.0, -0.1, 1.7):
             with pytest.raises(DomainError):
                 f_quantile(prob, s)
+
+    def test_staircase_falls_back_to_bisection(self):
+        # near prob = 1 the computed F flattens into a staircase on which the
+        # Newton steps stall; the solve must bisect its bracket down to the
+        # 1e-10 exit (a 0.9 split in place of the midpoint takes 81 passes)
+        prob = 1.0 - 1e-9
+        s = MixtureShape(a=0.5, b=0.5, rho=0.12)
+        y, evals = mixture._f_quantile_steps(prob, s, DEFAULT_QUADRATURE)
+        assert evals <= 40
+        assert abs(f_cdf(y, s) - prob) <= 1e-8
 
     def test_root_beyond_window_is_refused(self):
         # F(y) = Phi(sqrt(1-rho)*y) here, so the root for 1e-300 lies near

@@ -225,6 +225,10 @@ class TestBetaCdf:
         with pytest.raises(DomainError):
             beta_cdf(1.01, 2.0, 2.0)
         with pytest.raises(DomainError):
+            beta_cdf(np.array([0.5, 1.01]), 2.0, 2.0)
+        with pytest.raises(DomainError):
+            beta_cdf(np.array([-0.01, 0.5]), 2.0, 2.0)
+        with pytest.raises(DomainError):
             beta_cdf(0.5, 0.0, 2.0)
         with pytest.raises(DomainError):
             beta_cdf(0.5, 2.0, -3.0)
