@@ -29,6 +29,14 @@ __all__ = [
 RESIDUAL_TOL = 1e-8
 
 
+def check_counts(caller: str, n, k=0) -> None:
+    """Refuse counts that are not n >= 1 obligors with k in [0, n] defaults."""
+    if int(n) != n or n < 1:
+        raise DomainError(f"{caller}: n={n!r} must be a positive integer")
+    if int(k) != k or not 0 <= k <= n:
+        raise DomainError(f"{caller}: k={k!r} must be an integer in [0, n]")
+
+
 @dataclass(frozen=True)
 class BoundQuery:
     """A single bound request: n obligors, k defaults, confidence gamma.
@@ -43,10 +51,7 @@ class BoundQuery:
     rho: float | None = None
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 1:
-            raise DomainError(f"BoundQuery: n={self.n!r} must be a positive integer")
-        if int(self.k) != self.k or not 0 <= self.k <= self.n:
-            raise DomainError(f"BoundQuery: k={self.k!r} must be an integer in [0, n]")
+        check_counts("BoundQuery", self.n, self.k)
         if not 0.0 < self.gamma < 1.0:
             raise DomainError(f"BoundQuery: gamma={self.gamma!r} outside (0, 1)")
         if self.rho is not None and not 0.0 <= self.rho < 1.0:
@@ -85,10 +90,7 @@ def binomial_cdf(n: int, k: int, p: float) -> float:
     I_{1-p}(n-k, k+1), which stays stable for n in the thousands; k = n
     returns 1 exactly.
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"binomial_cdf: n={n!r} must be a positive integer")
-    if int(k) != k or k < 0 or k > n:
-        raise DomainError(f"binomial_cdf: k={k!r} must be an integer in [0, n]")
+    check_counts("binomial_cdf", n, k)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"binomial_cdf: p={p!r} outside [0, 1]")
     if k == n:
@@ -133,8 +135,7 @@ def check_residual(caller: str, query: BoundQuery, residual: float) -> None:
 
 def pd_upper_bound_zero_defaults(n: int, gamma: float) -> float:
     """Closed form for the no-defaults case: 1 - (1-gamma)^(1/n)."""
-    if int(n) != n or n < 1:
-        raise DomainError(f"pd_upper_bound_zero_defaults: n={n!r} must be a positive integer")
+    check_counts("pd_upper_bound_zero_defaults", n)
     if not 0.0 < gamma < 1.0:
         raise DomainError(f"pd_upper_bound_zero_defaults: gamma={gamma!r} outside (0, 1)")
     # 1 - exp(log(1-gamma)/n), written to keep precision for small gamma

@@ -309,7 +309,7 @@ def cmd_mc_check(args) -> int:
     quad_val = mixture_tail_prob(args.n, args.k, model, _quad_spec(args))
     estimate = simulate_default_count_tail(
         args.n, args.k, model,
-        McConfig(trials=args.trials, seed=args.seed, chunk_size=args.chunk_size),
+        McConfig(trials=args.trials, seed=args.seed),
     )
     if estimate.std_error > 0.0:
         z = (estimate.mean - quad_val) / estimate.std_error
@@ -420,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--rho", type=float, required=True, help="asset correlation in [0,1)")
     p_mc.add_argument("--trials", type=int, default=1_000_000)
     p_mc.add_argument("--seed", type=int, default=1)
-    p_mc.add_argument("--chunk-size", type=int, default=250_000, dest="chunk_size")
     p_mc.set_defaults(handler=cmd_mc_check)
 
     return parser

@@ -1,14 +1,13 @@
 """Monte-Carlo cross-checks for the one-factor model quantities.
 
 Every sampler draws through a counter-based Philox stream keyed by the seed,
-with one independent jumped substream per fixed-size chunk. Chunks are
-tallied as integers and combined in chunk order, so an estimate depends only
-on (trials, seed, chunk_size) and never on how the chunks might be scheduled
-across workers. Normals come from the generator's ziggurat sampler; beta
-variates are built from Marsaglia-Tsang gamma pairs. The beta-normal routes
-push beta samples through the package's own normal quantile, so the kernel
-under test participates in its own cross-check without being the only
-source of randomness.
+with one jumped substream per chunk of ``_CHUNK`` trials. There are no workers:
+the chunks run in order on one thread and are tallied as integers, so an
+estimate is fixed by (trials, seed). Normals come from the generator's
+ziggurat sampler; beta variates are built from Marsaglia-Tsang gamma pairs.
+The beta-normal routes push beta samples through the package's own normal
+quantile, so the kernel under test participates in its own cross-check
+without being the only source of randomness.
 """
 
 from __future__ import annotations
@@ -19,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
+from .binomial import check_counts
 from .errors import DomainError
-from .mixture import FactorModelParams, _validate_counts
+from .mixture import FactorModelParams
 
 __all__ = [
     "McConfig",
@@ -33,30 +33,25 @@ __all__ = [
 
 # keep per-batch scratch arrays around this many doubles
 _BATCH_CELLS = 4_000_000
+# trials per jumped Philox substream; changing it changes every estimate
+# of more trials than this
+_CHUNK = 250_000
 
 PROP3_FORMS = ("normal-betanormal", "uniform-betanormal", "uniform-beta")
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial count, stream seed and deterministic chunk size.
-
-    chunk_size is clamped to trials so the partition is always valid.
-    """
+    """Trial count and stream seed; together they fix the estimate."""
 
     trials: int
     seed: int
-    chunk_size: int = 250_000
 
     def __post_init__(self) -> None:
         if int(self.trials) != self.trials or self.trials < 1:
             raise DomainError(f"McConfig: trials={self.trials!r} must be >= 1")
         if int(self.seed) != self.seed or not 0 <= self.seed < 2 ** 64:
             raise DomainError(f"McConfig: seed={self.seed!r} must fit in 64 unsigned bits")
-        if int(self.chunk_size) != self.chunk_size or self.chunk_size < 1:
-            raise DomainError(f"McConfig: chunk_size={self.chunk_size!r} must be >= 1")
-        if self.chunk_size > self.trials:
-            object.__setattr__(self, "chunk_size", int(self.trials))
 
 
 @dataclass(frozen=True)
@@ -70,13 +65,8 @@ class McEstimate:
 
 def _chunk_streams(cfg: McConfig):
     root = np.random.Philox(key=cfg.seed)
-    index = 0
-    start = 0
-    while start < cfg.trials:
-        size = min(cfg.chunk_size, cfg.trials - start)
-        yield np.random.Generator(root.jumped(index)), size
-        index += 1
-        start += size
+    for index, start in enumerate(range(0, cfg.trials, _CHUNK)):
+        yield np.random.Generator(root.jumped(index)), min(_CHUNK, cfg.trials - start)
 
 
 def _proportion(hits: int, trials: int) -> McEstimate:
@@ -108,7 +98,7 @@ def simulate_default_count_tail(
     Per trial: one systematic normal, n idiosyncratic normals, defaults
     counted by the sqrt(rho)*S + sqrt(1-rho)*xi < Phi^-1(p) rule.
     """
-    _validate_counts(n, k)
+    check_counts("simulate_default_count_tail", n, k)
     x_p = specfun.std_normal_quantile(m.p)
     sq = math.sqrt(m.rho)
     sqc = math.sqrt(1.0 - m.rho)
@@ -134,8 +124,7 @@ def simulate_copula_diagonal(
     Samples the same factor construction, Z_i = sqrt(1-rho)*Y_i - sqrt(rho)*X,
     and counts trials where every coordinate lands below -Phi^-1(p).
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"simulate_copula_diagonal: n={n!r} must be a positive integer")
+    check_counts("simulate_copula_diagonal", n)
     threshold = -specfun.std_normal_quantile(m.p)
     sq = math.sqrt(m.rho)
     sqc = math.sqrt(1.0 - m.rho)
@@ -172,7 +161,7 @@ def simulate_prop3_form(
     """
     if form not in PROP3_FORMS:
         raise DomainError(f"simulate_prop3_form: unknown form {form!r}; pick from {PROP3_FORMS}")
-    _validate_counts(n, k)
+    check_counts("simulate_prop3_form", n, k)
     if k == n:
         raise DomainError("simulate_prop3_form: k=n makes the first beta shape n-k=0; the tail is 1 without sampling")
     a = float(n - k)

@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .binomial import BoundQuery, BoundResult, check_residual
+from .binomial import BoundQuery, BoundResult, check_counts, check_residual
 from .errors import DegenerateModelError, DomainError, NumericError
 
 __all__ = [
@@ -109,8 +109,10 @@ class MixtureShape:
 
 
 # The window [-T, T] with T = 8 truncates at most 2*Phi(-8) ~ 1.2e-15 of
-# mass, far below abs_tol. The trapezoid spacing is 2T / node_count, so a
-# wider window only coarsens the grid that resolves the kernel's transition.
+# mass from an integrand bounded by 1, far below abs_tol (mixture_mgf at
+# t > 0 is unbounded and checks its own cut). The trapezoid spacing is
+# 2T / node_count, so a wider window only coarsens the grid that resolves
+# the kernel's transition.
 _TRUNCATION = 8.0
 
 
@@ -204,13 +206,6 @@ def vasicek_cdf(v, m: FactorModelParams):
     return specfun.std_normal_cdf(arg)
 
 
-def _validate_counts(n: int, k: int) -> None:
-    if int(n) != n or n < 1:
-        raise DomainError(f"n={n!r} must be a positive integer")
-    if int(k) != k or k < 0 or k > n:
-        raise DomainError(f"k={k!r} must be an integer in [0, n]")
-
-
 def _log_choose_row(n: int, k: int) -> list[float]:
     # log C(n, i) for i = 0..k, each the log of an exact integer (rounded once)
     c = 1
@@ -245,7 +240,7 @@ def mixture_tail_prob(
     The Gaussian-weight integral of the conditional binomial tail. k = n
     returns 1 exactly (any p satisfies the defining inequality there).
     """
-    _validate_counts(n, k)
+    check_counts("mixture_tail_prob", n, k)
     if k == n:
         return 1.0
     g = conditional_pd(m, _grid(q.node_count)[0])
@@ -525,7 +520,7 @@ def mixture_pmf(
     n: int, i: int, m: FactorModelParams, q: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> float:
     """P(defaults = i) under the factor mixture."""
-    _validate_counts(n, i)
+    check_counts("mixture_pmf", n, i)
     g = conditional_pd(m, _grid(q.node_count)[0])
     with np.errstate(divide="ignore"):
         lg = np.log(g)
@@ -544,7 +539,18 @@ def mixture_mgf(
     tf = float(t)
     if not math.isfinite(tf):
         raise DomainError(f"mixture_mgf: t={t!r} must be finite")
-    _validate_counts(n, 0)
+    check_counts("mixture_mgf", n)
+    # for t > 0 the integrand grows like e^(t*n) as x falls, so the mass the
+    # window drops is bounded by Phi(-T) * (1 + e^(n*max(t, 0))), not by
+    # 2*Phi(-T); refuse where that bound passes abs_tol (compared in logs)
+    log_cut = math.log(specfun.std_normal_cdf(-_TRUNCATION)) + float(
+        np.logaddexp(0.0, n * max(tf, 0.0)))
+    if log_cut > math.log(q.abs_tol):
+        raise NumericError(
+            f"mixture_mgf: the window [-{_TRUNCATION:g}, {_TRUNCATION:g}] may drop up to "
+            f"10^{log_cut / math.log(10.0):.1f} of the integral at t={t!r}, n={n}, "
+            f"beyond abs_tol={q.abs_tol:.1e}"
+        )
     # cap the exponential: beyond this the power below overflows to inf
     # anyway, and a finite et avoids 0*inf at nodes where g underflows
     et = math.exp(min(tf, 700.0))
@@ -563,8 +569,7 @@ def copula_diagonal(
     and to the n-variate equicorrelated normal orthant probability at
     -Phi^-1(p).
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"copula_diagonal: n={n!r} must be a positive integer")
+    check_counts("copula_diagonal", n)
     g = conditional_pd(m, _grid(q.node_count)[0])
     val = float(_integrate((1.0 - g) ** n, q))
     return min(max(val, 0.0), 1.0)

@@ -169,7 +169,9 @@ def _betacf_scalar(a: float, b: float, x: float) -> float:
     )
 
 
-def _betacf_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
+def _betacf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # the same fraction in lockstep over lanes, each with its own shapes;
+    # a converged lane keeps its h while the slowest lane finishes
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -199,9 +201,7 @@ def _betacf_array(a: float, b: float, x: np.ndarray) -> np.ndarray:
         active &= np.abs(delta - 1.0) >= _CF_TOL
         if not active.any():
             return h
-    raise NumericError(
-        f"incomplete beta continued fraction stalled on array (a={a!r}, b={b!r})"
-    )
+    raise NumericError("incomplete beta continued fraction stalled on array")
 
 
 def _beta_cdf_scalar(x: float, a: float, b: float, lb: float) -> float:
@@ -221,11 +221,13 @@ def beta_cdf(x, a: float, b: float):
 
     ``x`` may be a float or an array with entries in [0, 1]; shapes must be
     positive. Endpoints return exactly 0 and 1. Continued fraction with the
-    symmetric form used on whichever side of (a+1)/(a+b+2) converges fast.
+    symmetric form used on whichever side of (a+1)/(a+b+2) converges fast;
+    an array runs both sides in one lockstep call.
     """
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"beta_cdf: shapes ({a!r}, {b!r}) must be positive")
-    # two paths on purpose: scalar Lentz wins for the binomial solves, lockstep for quadrature nodes
+    # two paths on purpose: the scalar Lentz loop wins for the binomial
+    # solves, the lockstep loop for quadrature nodes
     if np.ndim(x) == 0:
         xf = float(x)
         if not (0.0 <= xf <= 1.0):
@@ -234,29 +236,21 @@ def beta_cdf(x, a: float, b: float):
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise DomainError("beta_cdf: all x must lie in [0, 1]")
-    out = np.empty(arr.shape, dtype=float)
-    flat = arr.ravel()
-    res = out.ravel()
-    zero = flat <= 0.0
-    one = flat >= 1.0
-    res[zero] = 0.0
-    res[one] = 1.0
-    interior = ~(zero | one)
-    if interior.any():
-        xi = flat[interior]
-        lb = log_beta(a, b)
-        lfront = a * np.log(xi) + b * np.log1p(-xi) - lb
-        vals = np.empty_like(xi)
-        direct = xi < (a + 1.0) / (a + b + 2.0)
-        if direct.any():
-            xd = xi[direct]
-            vals[direct] = np.exp(lfront[direct]) * _betacf_array(a, b, xd) / a
-        swapped = ~direct
-        if swapped.any():
-            xs = xi[swapped]
-            vals[swapped] = 1.0 - np.exp(lfront[swapped]) * _betacf_array(b, a, 1.0 - xs) / b
-        res[interior] = vals
-    return out
+    # one lockstep for both sides of the switch: lanes at or past
+    # (a+1)/(a+b+2) run the fraction as 1 - I_{1-x}(b, a). The front factor
+    # is exp(-inf) = 0 at x = 0 and 1, so the endpoints come out exactly
+    swap = arr >= (a + 1.0) / (a + b + 2.0)
+    sa = np.where(swap, float(b), float(a))
+    sb = np.where(swap, float(a), float(b))
+    with np.errstate(divide="ignore"):
+        front = np.exp(a * np.log(arr) + b * np.log1p(-arr) - log_beta(a, b))
+    try:
+        part = front * _betacf_array(sa, sb, np.where(swap, 1.0 - arr, arr)) / sa
+    except NumericError:
+        raise NumericError(
+            f"incomplete beta continued fraction stalled on array (a={a!r}, b={b!r})"
+        ) from None
+    return np.where(swap, 1.0 - part, part)
 
 
 def _beta_quantile_steps(p: float, a: float, b: float) -> tuple[float, int]:

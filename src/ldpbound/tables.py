@@ -6,8 +6,7 @@ bounds, the auxiliary-distribution quantiles at the benchmark correlation
 are embedded verbatim as printed in the benchmark source (2-decimal percent
 or 2-decimal quantile), so ``--diff`` in the CLI and the acceptance tests can
 report deviations against fixed targets. Known blemishes in the printed
-values are documented where the tolerance metadata is defined, not patched
-over.
+values are documented beside the embedded values, not patched over.
 """
 
 from __future__ import annotations
@@ -47,118 +46,75 @@ EXAMPLE_PORTFOLIO_TWO = Portfolio(
     (Grade("A", 400, 2), Grade("B", 700, 1), Grade("C", 250, 3), Grade("D", 150, 1))
 )
 
-TABLE_IDS = (1, 2, 3, 4, 5, 6)
-
-
 @dataclass(frozen=True)
 class TableSpec:
-    """Layout and expected content of one benchmark table.
+    """One benchmark table: its kind, its portfolio and its printed cells.
 
     ``kind`` is one of "independent" (bounds, percent), "quantile"
-    (auxiliary-distribution quantiles at 1-gamma) or "correlated" (bounds,
-    percent, at BENCHMARK_RHO). ``expected`` rows are in percent for bound
-    tables and plain units for quantile tables. ``tolerance`` is the
-    acceptance tolerance in the same units.
+    (auxiliary-distribution quantiles at 1-gamma, at BENCHMARK_RHO) or
+    "correlated" (bounds, percent, at BENCHMARK_RHO). ``expected`` rows are
+    in percent for bound tables and plain units for quantile tables. The
+    layout follows from the kind: ``rho``, ``row_labels`` (grade names, or
+    the pooled shapes "(n-k,k+1)" of a quantile table) and ``tolerance``,
+    the acceptance tolerance in the table's units.
     """
 
-    table_id: int
     kind: str
     portfolio: Portfolio
-    rho: float | None
-    row_labels: tuple[str, ...]
     expected: tuple[tuple[float, ...], ...]
-    tolerance: float
 
+    @property
+    def rho(self) -> float | None:
+        return None if self.kind == "independent" else BENCHMARK_RHO
 
-def _shape_labels(pf: Portfolio) -> tuple[str, ...]:
-    return tuple(
-        f"({n - k},{k + 1})" for _, n, k in allocate(pf)
-    )
+    @property
+    def row_labels(self) -> tuple[str, ...]:
+        if self.kind == "quantile":
+            return tuple(f"({n - k},{k + 1})" for _, n, k in allocate(self.portfolio))
+        return tuple(g.name for g in self.portfolio.grades)
+
+    @property
+    def tolerance(self) -> float:
+        return 0.02 if self.kind == "correlated" else 0.01
 
 
 _SPECS: dict[int, TableSpec] = {
-    1: TableSpec(
-        table_id=1,
-        kind="independent",
-        portfolio=EXAMPLE_PORTFOLIO_ONE,
-        rho=None,
-        row_labels=("A", "B", "C"),
-        expected=(
-            (0.46, 0.64, 0.83, 0.97, 1.25, 1.62),
-            (0.52, 0.73, 0.95, 1.10, 1.43, 1.85),
-            (0.56, 0.90, 1.29, 1.57, 2.19, 3.04),
-        ),
-        tolerance=0.01,
-    ),
-    2: TableSpec(
-        table_id=2,
-        kind="quantile",
-        portfolio=EXAMPLE_PORTFOLIO_ONE,
-        rho=BENCHMARK_RHO,
-        row_labels=_shape_labels(EXAMPLE_PORTFOLIO_ONE),
-        expected=(
-            (2.61, 2.34, 2.09, 1.94, 1.67, 1.36),
-            (2.57, 2.29, 2.04, 1.90, 1.62, 1.31),
-            (2.55, 2.25, 1.98, 1.82, 1.52, 1.19),
-        ),
-        tolerance=0.01,
-    ),
-    3: TableSpec(
-        table_id=3,
-        kind="correlated",
-        portfolio=EXAMPLE_PORTFOLIO_ONE,
-        rho=BENCHMARK_RHO,
-        row_labels=("A", "B", "C"),
-        expected=(
-            (0.71, 1.41, 2.49, 3.41, 5.88, 10.08),
-            (0.80, 1.58, 2.76, 3.77, 6.43, 10.91),
-            (0.84, 1.75, 3.18, 4.41, 7.67, 13.13),
-        ),
-        tolerance=0.02,
-    ),
-    4: TableSpec(
-        table_id=4,
-        kind="independent",
-        portfolio=EXAMPLE_PORTFOLIO_TWO,
-        rho=None,
-        row_labels=("A", "B", "C", "D"),
-        expected=(
-            (0.51, 0.65, 0.78, 0.87, 1.06, 1.30),
-            (0.52, 0.67, 0.84, 0.95, 1.19, 1.49),
-            (1.17, 1.56, 1.99, 2.27, 2.87, 3.65),
-            (1.12, 1.78, 2.57, 3.12, 4.34, 5.99),
-        ),
-        tolerance=0.01,
-    ),
-    5: TableSpec(
-        table_id=5,
-        kind="quantile",
-        portfolio=EXAMPLE_PORTFOLIO_TWO,
-        rho=BENCHMARK_RHO,
-        row_labels=_shape_labels(EXAMPLE_PORTFOLIO_TWO),
-        expected=(
-            (2.57, 2.31, 2.07, 1.93, 1.67, 1.37),
-            (2.57, 2.30, 2.06, 1.92, 1.65, 1.35),
-            (2.27, 2.00, 1.75, 1.61, 1.33, 1.02),
-            (2.30, 1.98, 1.71, 1.54, 1.24, 0.91),
-        ),
-        tolerance=0.01,
-    ),
-    6: TableSpec(
-        table_id=6,
-        kind="correlated",
-        portfolio=EXAMPLE_PORTFOLIO_TWO,
-        rho=BENCHMARK_RHO,
-        row_labels=("A", "B", "C", "D"),
-        expected=(
-            (0.79, 1.51, 2.59, 3.49, 5.58, 9.90),
-            (0.79, 1.53, 2.64, 3.58, 6.06, 10.23),
-            (1.64, 3.04, 5.01, 6.60, 10.61, 16.87),
-            (1.56, 3.13, 5.45, 7.36, 12.21, 19.76),
-        ),
-        tolerance=0.02,
-    ),
+    1: TableSpec("independent", EXAMPLE_PORTFOLIO_ONE, (
+        (0.46, 0.64, 0.83, 0.97, 1.25, 1.62),
+        (0.52, 0.73, 0.95, 1.10, 1.43, 1.85),
+        (0.56, 0.90, 1.29, 1.57, 2.19, 3.04),
+    )),
+    2: TableSpec("quantile", EXAMPLE_PORTFOLIO_ONE, (
+        (2.61, 2.34, 2.09, 1.94, 1.67, 1.36),
+        (2.57, 2.29, 2.04, 1.90, 1.62, 1.31),
+        (2.55, 2.25, 1.98, 1.82, 1.52, 1.19),
+    )),
+    3: TableSpec("correlated", EXAMPLE_PORTFOLIO_ONE, (
+        (0.71, 1.41, 2.49, 3.41, 5.88, 10.08),
+        (0.80, 1.58, 2.76, 3.77, 6.43, 10.91),
+        (0.84, 1.75, 3.18, 4.41, 7.67, 13.13),
+    )),
+    4: TableSpec("independent", EXAMPLE_PORTFOLIO_TWO, (
+        (0.51, 0.65, 0.78, 0.87, 1.06, 1.30),
+        (0.52, 0.67, 0.84, 0.95, 1.19, 1.49),
+        (1.17, 1.56, 1.99, 2.27, 2.87, 3.65),
+        (1.12, 1.78, 2.57, 3.12, 4.34, 5.99),
+    )),
+    5: TableSpec("quantile", EXAMPLE_PORTFOLIO_TWO, (
+        (2.57, 2.31, 2.07, 1.93, 1.67, 1.37),
+        (2.57, 2.30, 2.06, 1.92, 1.65, 1.35),
+        (2.27, 2.00, 1.75, 1.61, 1.33, 1.02),
+        (2.30, 1.98, 1.71, 1.54, 1.24, 0.91),
+    )),
+    6: TableSpec("correlated", EXAMPLE_PORTFOLIO_TWO, (
+        (0.79, 1.51, 2.59, 3.49, 5.58, 9.90),
+        (0.79, 1.53, 2.64, 3.58, 6.06, 10.23),
+        (1.64, 3.04, 5.01, 6.60, 10.61, 16.87),
+        (1.56, 3.13, 5.45, 7.36, 12.21, 19.76),
+    )),
 }
+
+TABLE_IDS = tuple(_SPECS)
 
 # the printed source is known to carry one bad cell: table 6, first row at
 # gamma = 0.99 reads 5.58. Its printed quantile (table 5) is 1.67, which

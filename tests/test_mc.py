@@ -42,21 +42,11 @@ class TestMcConfig:
             McConfig(trials=10, seed=-1)
         with pytest.raises(DomainError):
             McConfig(trials=10, seed=2**64)
-        with pytest.raises(DomainError):
-            McConfig(trials=10, seed=1, chunk_size=0)
-
-    def test_oversized_chunk_equals_exact_chunk(self):
-        m = FactorModelParams(p=0.1, rho=0.3)
-        a = simulate_default_count_tail(
-            5, 1, m, McConfig(trials=10_000, seed=3, chunk_size=10_000))
-        b = simulate_default_count_tail(
-            5, 1, m, McConfig(trials=10_000, seed=3, chunk_size=1 << 30))
-        assert a == b
 
     def test_std_error_formula(self):
         m = FactorModelParams(p=0.1, rho=0.3)
         est = simulate_default_count_tail(
-            5, 1, m, McConfig(trials=4_000, seed=9, chunk_size=1_000))
+            5, 1, m, McConfig(trials=4_000, seed=9))
         want = math.sqrt(est.mean * (1.0 - est.mean) / 4_000)
         assert est.std_error == pytest.approx(want, rel=1e-12)
         assert est.trials == 4_000
@@ -87,7 +77,7 @@ class TestDefaultCountTail:
 
     def test_deterministic_for_fixed_config(self):
         m = FactorModelParams(p=0.1, rho=0.5)
-        cfg = McConfig(trials=100_000, seed=42, chunk_size=30_000)
+        cfg = McConfig(trials=100_000, seed=42)
         first = simulate_default_count_tail(6, 1, m, cfg)
         second = simulate_default_count_tail(6, 1, m, cfg)
         assert first == second

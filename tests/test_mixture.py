@@ -603,6 +603,16 @@ class TestMixtureMgf:
         with pytest.raises(DomainError):
             mixture_mgf(float("inf"), 6, m)
 
+    def test_window_cut_beyond_tolerance_is_refused(self):
+        # for t > 0 the integrand grows like e^(t*n) as x falls, so the mass
+        # beyond x = -8 is not bounded by Phi(-8). At t = 0.1, n = 300 a
+        # 65536-interval grid gives 2.9740142767 against scipy's quad over
+        # (-40, 40) 2.9740315089; a finer grid cannot mend a cut window
+        m = FactorModelParams(p=0.02, rho=0.12)
+        for q in (DEFAULT_QUADRATURE, QuadratureSpec(node_count=65536)):
+            with pytest.raises(NumericError, match=r"window \[-8, 8\]"):
+                mixture_mgf(0.1, 300, m, q)
+
 
 class TestCopulaDiagonal:
     def test_single_event(self):

@@ -213,11 +213,19 @@ class TestBetaCdf:
 
     def test_scalar_matches_array_path(self):
         # numpy's vectorized exp can differ from libm's by one ulp, so exact
-        # bit equality between the two paths is not on the table
-        xs = np.linspace(0.01, 0.99, 53)
-        arr = beta_cdf(xs, 149.0, 2.0)
-        sca = np.array([beta_cdf(float(x), 149.0, 2.0) for x in xs])
-        assert np.max(np.abs(arr - sca) / sca) <= 3e-15
+        # bit equality between the two paths is not on the table. The lanes
+        # include the symmetry switch at (a+1)/(a+b+2) and its neighbours,
+        # where the array path changes side within one call
+        for a, b in ((149.0, 2.0), (797.0, 4.0), (0.5, 0.5), (2.5, 0.3), (1.0, 1.0)):
+            switch = (a + 1.0) / (a + b + 2.0)
+            xs = np.concatenate([np.linspace(0.01, 0.99, 53),
+                                 [switch, switch * (1.0 - 1e-12), switch * (1.0 + 1e-12)]])
+            arr = beta_cdf(xs, a, b)
+            sca = np.array([beta_cdf(float(x), a, b) for x in xs])
+            assert np.all(np.abs(arr - sca) <= 3e-15 * sca), (a, b)
+            # the endpoints come out exact from the same lockstep call
+            ends = beta_cdf(np.array([0.0, 1.0, switch, 0.0]), a, b)
+            assert ends[0] == 0.0 and ends[1] == 1.0 and ends[3] == 0.0, (a, b)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
