@@ -31,9 +31,9 @@ RESIDUAL_TOL = 1e-8
 
 def check_counts(caller: str, n, k=0) -> None:
     """Refuse counts that are not n >= 1 obligors with k in [0, n] defaults."""
-    if int(n) != n or n < 1:
+    if not (specfun.is_whole(n) and n >= 1):
         raise DomainError(f"{caller}: n={n!r} must be a positive integer")
-    if int(k) != k or not 0 <= k <= n:
+    if not (specfun.is_whole(k) and 0 <= k <= n):
         raise DomainError(f"{caller}: k={k!r} must be an integer in [0, n]")
 
 
@@ -83,6 +83,12 @@ class BoundResult:
     vacuous: bool = False
 
 
+# k = n admits every p; both models return this instead of solving
+VACUOUS_BOUND = BoundResult(
+    p_upper=1.0, residual=0.0, iterations=0, quantile=math.nan, vacuous=True
+)
+
+
 def binomial_cdf(n: int, k: int, p: float) -> float:
     """P(defaults <= k) among n independent obligors defaulting w.p. p.
 
@@ -111,10 +117,7 @@ def pd_upper_bound_independent(query: BoundQuery) -> BoundResult:
             "use pd_upper_bound_correlated"
         )
     if query.k == query.n:
-        return BoundResult(
-            p_upper=1.0, residual=0.0, iterations=0,
-            quantile=math.nan, vacuous=True,
-        )
+        return VACUOUS_BOUND
     x, iters = specfun._beta_quantile_steps(
         1.0 - query.gamma, float(query.n - query.k), float(query.k + 1)
     )

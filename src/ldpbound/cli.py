@@ -237,39 +237,35 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
 def cmd_density(args) -> int:
     quad = _quad_spec(args)
     h = 1e-4
-    if args.kind == "f-density":
-        if args.alpha is None or args.beta is None:
-            return _usage("f-density needs --alpha and --beta")
-        shape = MixtureShape(a=args.alpha, b=args.beta, rho=args.rho)
-        lo = -4.0 if args.lo is None else args.lo
-        hi = 4.0 if args.hi is None else args.hi
-        step = 0.01 if args.step is None else args.step
-        xs = _grid(lo, hi, step)
-        cdf = f_cdf(np.concatenate([xs + h, xs - h]), shape, quad)
-        vals = np.maximum((cdf[: xs.size] - cdf[xs.size :]) / (2.0 * h), 0.0)
-    elif args.kind == "tilde-f-density":
-        if args.alpha is None or args.beta is None:
-            return _usage("tilde-f-density needs --alpha and --beta")
-        shape = MixtureShape(a=args.alpha, b=args.beta, rho=args.rho)
-        lo = 0.001 if args.lo is None else args.lo
-        hi = 0.999 if args.hi is None else args.hi
-        step = 0.001 if args.step is None else args.step
-        xs = _grid(lo, hi, step)
-        if xs[0] - h <= 0.0 or xs[-1] + h >= 1.0:
-            return _usage("tilde-f-density grid must keep p +/- 1e-4 inside (0, 1)")
-        cdf = tilde_f_cdf(np.concatenate([xs + h, xs - h]), shape, quad)
-        vals = np.maximum((cdf[: xs.size] - cdf[xs.size :]) / (2.0 * h), 0.0)
-    else:  # vasicek: CDF curve, not a density
+    # per kind: the default grid (lo, hi, step) and the CDF whose central
+    # difference is printed (vasicek prints its CDF curve itself)
+    (lo, hi, step), cdf = {
+        "f-density": ((-4.0, 4.0, 0.01), f_cdf),
+        "tilde-f-density": ((0.001, 0.999, 0.001), tilde_f_cdf),
+        "vasicek": ((0.001, 0.999, 0.001), None),
+    }[args.kind]
+    if cdf is None:
         if args.p is None:
             return _usage("vasicek needs --p")
         model = FactorModelParams(p=args.p, rho=args.rho)
-        lo = 0.001 if args.lo is None else args.lo
-        hi = 0.999 if args.hi is None else args.hi
-        step = 0.001 if args.step is None else args.step
-        xs = _grid(lo, hi, step)
+    else:
+        if args.alpha is None or args.beta is None:
+            return _usage(f"{args.kind} needs --alpha and --beta")
+        shape = MixtureShape(a=args.alpha, b=args.beta, rho=args.rho)
+    xs = _grid(
+        lo if args.lo is None else args.lo,
+        hi if args.hi is None else args.hi,
+        step if args.step is None else args.step,
+    )
+    if cdf is None:
         if xs[0] <= 0.0 or xs[-1] >= 1.0:
             return _usage("vasicek grid must stay inside (0, 1)")
         vals = vasicek_cdf(xs, model)
+    else:
+        if args.kind == "tilde-f-density" and (xs[0] - h <= 0.0 or xs[-1] + h >= 1.0):
+            return _usage("tilde-f-density grid must keep p +/- 1e-4 inside (0, 1)")
+        both = cdf(np.concatenate([xs + h, xs - h]), shape, quad)
+        vals = np.maximum((both[: xs.size] - both[xs.size :]) / (2.0 * h), 0.0)
     for x, v in zip(xs, vals):
         print(f"{x:.10g},{v:.10g}")
     return EXIT_OK

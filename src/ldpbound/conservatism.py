@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from .binomial import BoundQuery, BoundResult, pd_upper_bound_independent
 from .errors import DomainError, NumericError
 from .mixture import DEFAULT_QUADRATURE, QuadratureSpec, pd_upper_bound_correlated
+from .specfun import is_whole
 
 __all__ = [
     "Grade",
@@ -44,14 +45,11 @@ class Grade:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise DomainError(f"Grade: name {self.name!r} must be a non-empty string")
-        if int(self.n_obligors) != self.n_obligors or self.n_obligors < 1:
+        if not (is_whole(self.n_obligors) and self.n_obligors >= 1):
             raise DomainError(
                 f"Grade {self.name}: n_obligors={self.n_obligors!r} must be a positive integer"
             )
-        if (
-            int(self.k_defaults) != self.k_defaults
-            or not 0 <= self.k_defaults <= self.n_obligors
-        ):
+        if not (is_whole(self.k_defaults) and 0 <= self.k_defaults <= self.n_obligors):
             raise DomainError(
                 f"Grade {self.name}: k_defaults={self.k_defaults!r} must be an "
                 f"integer in [0, n_obligors]"
@@ -117,12 +115,16 @@ class GradeBoundReport:
 
 
 def _bound_for(
-    n: int, k: int, gamma: float, rho: float | None, q: QuadratureSpec | None
+    name: str, n: int, k: int, gamma: float, rho: float | None, q: QuadratureSpec
 ) -> BoundResult:
+    # grade ``name``'s bound; a numeric failure is re-raised naming the grade
     query = BoundQuery(n=n, k=k, gamma=gamma, rho=rho)
-    if rho is None:
-        return pd_upper_bound_independent(query)
-    return pd_upper_bound_correlated(query, q or DEFAULT_QUADRATURE)
+    try:
+        if rho is None:
+            return pd_upper_bound_independent(query)
+        return pd_upper_bound_correlated(query, q)
+    except NumericError as err:
+        raise NumericError(f"grade {name}: {err}") from err
 
 
 def _detect_reversals(entries: list[GradeBound]) -> tuple[tuple[str, str], ...]:
@@ -138,20 +140,17 @@ def estimate_grades(
     pf: Portfolio,
     gamma: float,
     rho: float | None = None,
-    q: QuadratureSpec | None = None,
+    q: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> GradeBoundReport:
     """Bound every grade of the portfolio at confidence gamma.
 
     ``rho`` absent selects the independence model, present the one-factor
-    correlated model, integrated with ``q`` (None: the default rule).
-    Numeric failures are re-raised naming the grade.
+    correlated model, integrated with ``q``. Numeric failures are re-raised
+    naming the grade.
     """
     entries: list[GradeBound] = []
     for name, n_used, k_used in allocate(pf):
-        try:
-            res = _bound_for(n_used, k_used, gamma, rho, q)
-        except NumericError as err:
-            raise NumericError(f"grade {name}: {err}") from err
+        res = _bound_for(name, n_used, k_used, gamma, rho, q)
         entries.append(
             GradeBound(
                 name=name, n_used=n_used, k_used=k_used,
@@ -165,7 +164,7 @@ def estimate_grades(
 
 
 def remediate_reversal(
-    report: GradeBoundReport, q: QuadratureSpec | None = None
+    report: GradeBoundReport, q: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> GradeBoundReport:
     """Raise flagged riskier grades' default counts until order is restored.
 
@@ -186,18 +185,13 @@ def remediate_reversal(
         k_new = entry.k_used
         p_new = entry.p_upper
         vac = entry.vacuous
-        steps = 0
         while p_new < prefix_max and k_new < entry.n_used:
             k_new += 1
-            steps += 1
-            try:
-                res = _bound_for(entry.n_used, k_new, report.gamma, report.rho, q)
-            except NumericError as err:
-                raise NumericError(f"grade {entry.name}: {err}") from err
+            res = _bound_for(entry.name, entry.n_used, k_new, report.gamma, report.rho, q)
             p_new = res.p_upper
             vac = res.vacuous
-        if steps:
-            increments[entry.name] = steps
+        if k_new > entry.k_used:
+            increments[entry.name] = k_new - entry.k_used
             entries[j] = replace(
                 entry, k_used=k_new, p_upper=p_new, vacuous=vac
             )

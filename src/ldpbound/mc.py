@@ -48,9 +48,9 @@ class McConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if int(self.trials) != self.trials or self.trials < 1:
+        if not (specfun.is_whole(self.trials) and self.trials >= 1):
             raise DomainError(f"McConfig: trials={self.trials!r} must be >= 1")
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2 ** 64:
+        if not (specfun.is_whole(self.seed) and 0 <= self.seed < 2 ** 64):
             raise DomainError(f"McConfig: seed={self.seed!r} must fit in 64 unsigned bits")
 
 
@@ -67,6 +67,18 @@ def _chunk_streams(cfg: McConfig):
     root = np.random.Philox(key=cfg.seed)
     for index, start in enumerate(range(0, cfg.trials, _CHUNK)):
         yield np.random.Generator(root.jumped(index)), min(_CHUNK, cfg.trials - start)
+
+
+def _factor_batches(n: int, cfg: McConfig):
+    # (S, xi) per batch of rows in stream order: S (one systematic normal per
+    # row) is drawn before xi (each row's n idiosyncratic normals), which
+    # fills one reused buffer that the caller may scale in place
+    max_rows = max(1, _BATCH_CELLS // n)
+    buf = np.empty((min(max_rows, _CHUNK, cfg.trials), n))
+    for rng, size in _chunk_streams(cfg):
+        for done in range(0, size, max_rows):
+            rows = min(max_rows, size - done)
+            yield rng.standard_normal(rows), rng.standard_normal(out=buf[:rows])
 
 
 def _proportion(hits: int, trials: int) -> McEstimate:
@@ -102,17 +114,12 @@ def simulate_default_count_tail(
     x_p = specfun.std_normal_quantile(m.p)
     sq = math.sqrt(m.rho)
     sqc = math.sqrt(1.0 - m.rho)
-    max_rows = max(1, _BATCH_CELLS // n)
     hits = 0
-    for rng, size in _chunk_streams(cfg):
-        done = 0
-        while done < size:
-            rows = min(max_rows, size - done)
-            s = rng.standard_normal(rows)
-            xi = rng.standard_normal((rows, n))
-            counts = np.count_nonzero(sq * s[:, None] + sqc * xi < x_p, axis=1)
-            hits += int(np.count_nonzero(counts <= k))
-            done += rows
+    for s, xi in _factor_batches(n, cfg):
+        xi *= sqc
+        xi += sq * s[:, None]
+        counts = np.count_nonzero(xi < x_p, axis=1)
+        hits += int(np.count_nonzero(counts <= k))
     return _proportion(hits, cfg.trials)
 
 
@@ -128,17 +135,11 @@ def simulate_copula_diagonal(
     threshold = -specfun.std_normal_quantile(m.p)
     sq = math.sqrt(m.rho)
     sqc = math.sqrt(1.0 - m.rho)
-    max_rows = max(1, _BATCH_CELLS // n)
     hits = 0
-    for rng, size in _chunk_streams(cfg):
-        done = 0
-        while done < size:
-            rows = min(max_rows, size - done)
-            x = rng.standard_normal(rows)
-            y = rng.standard_normal((rows, n))
-            inside = np.all(sqc * y - sq * x[:, None] < threshold, axis=1)
-            hits += int(np.count_nonzero(inside))
-            done += rows
+    for x, y in _factor_batches(n, cfg):
+        y *= sqc
+        y -= sq * x[:, None]
+        hits += int(np.count_nonzero(np.all(y < threshold, axis=1)))
     return _proportion(hits, cfg.trials)
 
 

@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .binomial import BoundQuery, BoundResult, check_counts, check_residual
+from .binomial import VACUOUS_BOUND, BoundQuery, BoundResult, check_counts, check_residual
 from .errors import DegenerateModelError, DomainError, NumericError
 
 __all__ = [
@@ -93,8 +93,9 @@ class FactorModelParams:
 class MixtureShape:
     """Shape triple (a, b, rho) of the auxiliary distribution F_{a,b,rho}.
 
-    Bound computations construct it from integer (n, k) as a = n-k, b = k+1;
-    real-valued shapes are allowed so the density plots can sweep them.
+    Both shapes are positive and finite. Bound computations construct it
+    from integer (n, k) as a = n-k, b = k+1; real-valued shapes are allowed
+    so the density plots can sweep them.
     """
 
     a: float
@@ -102,8 +103,7 @@ class MixtureShape:
     rho: float
 
     def __post_init__(self) -> None:
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise DomainError(f"MixtureShape: shapes ({self.a!r}, {self.b!r}) must be positive")
+        specfun.check_shapes("MixtureShape", self.a, self.b)
         if not 0.0 <= self.rho < 1.0:
             raise DomainError(f"MixtureShape: rho={self.rho!r} outside [0, 1)")
 
@@ -131,7 +131,7 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if int(self.node_count) != self.node_count or self.node_count < 2:
+        if not (specfun.is_whole(self.node_count) and self.node_count >= 2):
             raise DomainError(f"QuadratureSpec: node_count={self.node_count!r} must be >= 2")
         if not self.abs_tol > 0.0:
             raise DomainError(f"QuadratureSpec: abs_tol={self.abs_tol!r} must be positive")
@@ -256,7 +256,7 @@ _SUM_MAX_B = 64
 
 
 def _summable(s: MixtureShape) -> bool:
-    return s.a == int(s.a) and s.b == int(s.b) and s.b <= _SUM_MAX_B
+    return specfun.is_whole(s.a) and specfun.is_whole(s.b) and s.b <= _SUM_MAX_B
 
 
 def _f_pass(yv: np.ndarray, s: MixtureShape, q: QuadratureSpec, summed: bool):
@@ -488,10 +488,7 @@ def pd_upper_bound_correlated(
             "use pd_upper_bound_independent"
         )
     if query.k == query.n:
-        return BoundResult(
-            p_upper=1.0, residual=0.0, iterations=0,
-            quantile=math.nan, vacuous=True,
-        )
+        return VACUOUS_BOUND
     shape = MixtureShape(
         a=float(query.n - query.k), b=float(query.k + 1), rho=query.rho
     )

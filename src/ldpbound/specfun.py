@@ -58,6 +58,20 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 _inv_cdf = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
 
 
+def is_whole(x) -> bool:
+    """True for a finite number with no fractional part (NaN and inf are not)."""
+    try:
+        return x == int(x)
+    except (ValueError, OverflowError):  # int() of NaN, of +-inf
+        return False
+
+
+def check_shapes(caller: str, a, b) -> None:
+    """Refuse beta shapes that are not both positive and finite."""
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DomainError(f"{caller}: shapes ({a!r}, {b!r}) must be positive and finite")
+
+
 # ---------------------------------------------------------------------------
 # standard normal
 # ---------------------------------------------------------------------------
@@ -108,7 +122,7 @@ def log_gamma(x: float) -> float:
 
 
 def log_beta(a: float, b: float) -> float:
-    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b), for a, b > 0.
+    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b), for finite a, b > 0.
 
     When the smaller shape is a modest integer m (every bound computation
     has one: the shapes are n-k and k+1), the gamma ratio collapses to a
@@ -116,10 +130,9 @@ def log_beta(a: float, b: float) -> float:
     two large log-gamma values and keeps the absolute error near 1e-14 even
     for shapes in the thousands.
     """
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"log_beta: shapes ({a!r}, {b!r}) must be positive")
+    check_shapes("log_beta", a, b)
     lo, hi = (a, b) if a <= b else (b, a)
-    if lo == int(lo) and lo <= PRODUCT_FORM_MAX:
+    if is_whole(lo) and lo <= PRODUCT_FORM_MAX:
         m = int(lo)
         # one fsum, so the result is rounded once
         return math.fsum([log_gamma(float(m)), *(-math.log(hi + i) for i in range(m))])
@@ -220,12 +233,12 @@ def beta_cdf(x, a: float, b: float):
     """Regularized incomplete beta function I_x(a, b).
 
     ``x`` may be a float or an array with entries in [0, 1]; shapes must be
-    positive. Endpoints return exactly 0 and 1. Continued fraction with the
-    symmetric form used on whichever side of (a+1)/(a+b+2) converges fast;
-    an array runs both sides in one lockstep call.
+    positive and finite. Endpoints return exactly 0 and 1. Continued
+    fraction with the symmetric form used on whichever side of
+    (a+1)/(a+b+2) converges fast; an array runs both sides in one lockstep
+    call.
     """
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"beta_cdf: shapes ({a!r}, {b!r}) must be positive")
+    check_shapes("beta_cdf", a, b)
     # two paths on purpose: the scalar Lentz loop wins for the binomial
     # solves, the lockstep loop for quadrature nodes
     if np.ndim(x) == 0:
@@ -291,8 +304,7 @@ def beta_quantile(p: float, a: float, b: float) -> float:
 
     Requires 0 < p < 1. The result x satisfies |beta_cdf(x) - p| <= 1e-12.
     """
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"beta_quantile: shapes ({a!r}, {b!r}) must be positive")
+    check_shapes("beta_quantile", a, b)
     pf = float(p)
     if not 0.0 < pf < 1.0:
         raise DomainError(f"beta_quantile: p={p!r} outside (0, 1)")

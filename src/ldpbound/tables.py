@@ -135,14 +135,13 @@ def table_spec(table_id: int) -> TableSpec:
 
 
 def compute_table(
-    table_id: int, q: QuadratureSpec | None = None
+    table_id: int, q: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> list[list[float]]:
     """Recompute one benchmark table; same layout and units as ``expected``.
 
-    The correlated tables integrate with ``q`` (None: the default rule).
+    The correlated and quantile tables integrate with ``q``.
     """
     spec = table_spec(table_id)
-    quad = q or DEFAULT_QUADRATURE
     rows: list[list[float]] = []
     for _, n_used, k_used in allocate(spec.portfolio):
         row: list[float] = []
@@ -156,10 +155,10 @@ def compute_table(
                 shape = MixtureShape(
                     a=float(n_used - k_used), b=float(k_used + 1), rho=spec.rho
                 )
-                row.append(f_quantile(1.0 - gamma, shape, quad))
+                row.append(f_quantile(1.0 - gamma, shape, q))
             else:
                 res = pd_upper_bound_correlated(
-                    BoundQuery(n=n_used, k=k_used, gamma=gamma, rho=spec.rho), quad
+                    BoundQuery(n=n_used, k=k_used, gamma=gamma, rho=spec.rho), q
                 )
                 row.append(100.0 * res.p_upper)
         rows.append(row)

@@ -34,12 +34,12 @@ class TestQueryValidation:
         assert q.n == 800 and q.k == 3
 
     def test_rejects_bad_n(self):
-        for n in (0, -5, 800.5):
+        for n in (0, -5, 800.5, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 BoundQuery(n=n, k=0, gamma=0.9)
 
     def test_rejects_bad_k(self):
-        for k in (-1, 6, 2.5):
+        for k in (-1, 6, 2.5, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 BoundQuery(n=5, k=k, gamma=0.9)
 
@@ -97,6 +97,11 @@ class TestBinomialCdf:
             binomial_cdf(5, -1, 0.5)
         with pytest.raises(DomainError):
             binomial_cdf(5, 2, 1.5)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                binomial_cdf(bad, 0, 0.5)
+            with pytest.raises(DomainError):
+                binomial_cdf(5, bad, 0.5)
 
 
 class TestIndependentBound:
@@ -185,3 +190,6 @@ class TestZeroDefaultBound:
             pd_upper_bound_zero_defaults(0, 0.9)
         with pytest.raises(DomainError):
             pd_upper_bound_zero_defaults(10, 1.0)
+        for n in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                pd_upper_bound_zero_defaults(n, 0.9)

@@ -283,6 +283,13 @@ class TestQuantileCommand:
             "--rho", "0.12")
         assert code == EXIT_NUMERIC and err.startswith("error: ")
 
+    def test_infinite_shape_exits_4(self, capsys):
+        code, out, err = run_cli(
+            capsys, "quantile", "--prob", "0.5", "--alpha", "inf", "--beta", "4",
+            "--rho", "0.1")
+        assert code == EXIT_NUMERIC and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestDensityCommand:
     @staticmethod
@@ -355,6 +362,13 @@ class TestDensityCommand:
     def test_missing_shape_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "density", "--kind", "f-density", "--rho", "0.5")
         assert code == EXIT_USAGE and "alpha" in err
+
+    def test_infinite_shape_exits_4(self, capsys):
+        code, out, err = run_cli(
+            capsys, "density", "--kind", "f-density", "--alpha", "inf", "--beta", "4",
+            "--rho", "0.1")
+        assert code == EXIT_NUMERIC and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_degenerate_vasicek_exits_4(self, capsys):
         code, _, err = run_cli(

@@ -1,5 +1,7 @@
 """Tests for grade pooling, the per-grade bound report, and reversal repair."""
 
+import math
+
 import pytest
 
 from ldpbound import (
@@ -35,6 +37,11 @@ class TestGradeValidation:
             Grade(name="A", n_obligors=10, k_defaults=11)
         with pytest.raises(DomainError):
             Grade(name="", n_obligors=10, k_defaults=0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                Grade(name="A", n_obligors=bad, k_defaults=0)
+            with pytest.raises(DomainError):
+                Grade(name="A", n_obligors=10, k_defaults=bad)
 
     def test_rejects_degenerate_portfolio(self):
         with pytest.raises(DomainError):

@@ -42,6 +42,11 @@ class TestMcConfig:
             McConfig(trials=10, seed=-1)
         with pytest.raises(DomainError):
             McConfig(trials=10, seed=2**64)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                McConfig(trials=bad, seed=1)
+            with pytest.raises(DomainError):
+                McConfig(trials=10, seed=bad)
 
     def test_std_error_formula(self):
         m = FactorModelParams(p=0.1, rho=0.3)
@@ -50,6 +55,26 @@ class TestMcConfig:
         want = math.sqrt(est.mean * (1.0 - est.mean) / 4_000)
         assert est.std_error == pytest.approx(want, rel=1e-12)
         assert est.trials == 4_000
+
+
+class TestPinnedStreams:
+    # exact estimates: any change to the draw order, the batching or the
+    # per-chunk substreams moves them
+    @pytest.mark.parametrize("sampler, args, mean", [
+        # one chunk, several row batches
+        (simulate_default_count_tail, (100, 2, FactorModelParams(0.01, 0.12),
+                                       McConfig(100_000, 1)), 0.87995),
+        # four chunks
+        (simulate_default_count_tail, (6, 1, FactorModelParams(0.1, 0.5),
+                                       McConfig(1_000_000, 4)), 0.849857),
+        # a row batch smaller than a chunk
+        (simulate_default_count_tail, (50_000, 5, FactorModelParams(0.001, 0.2),
+                                       McConfig(300, 3)), 0.29333333333333333),
+        (simulate_copula_diagonal, (5, FactorModelParams(0.1, 0.3),
+                                    McConfig(1_000_000, 8)), 0.659851),
+    ])
+    def test_estimate_is_fixed_by_trials_and_seed(self, sampler, args, mean):
+        assert sampler(*args).mean == mean
 
 
 class TestDefaultCountTail:

@@ -132,7 +132,10 @@ class TestConditionalPd:
             FactorModelParams(p=0.0, rho=0.1)
         with pytest.raises(DomainError):
             FactorModelParams(p=0.5, rho=1.0)
-        for a, b, rho in ((0.0, 2.0, 0.1), (5.0, -1.0, 0.1), (5.0, 2.0, -0.1), (5.0, 2.0, 1.0)):
+        inf, nan = math.inf, math.nan
+        for a, b, rho in ((0.0, 2.0, 0.1), (5.0, -1.0, 0.1), (5.0, 2.0, -0.1), (5.0, 2.0, 1.0),
+                          (inf, 4.0, 0.1), (5.0, inf, 0.1), (nan, 4.0, 0.1), (5.0, nan, 0.1),
+                          (-inf, 4.0, 0.1), (5.0, -inf, 0.1)):
             with pytest.raises(DomainError):
                 MixtureShape(a=a, b=b, rho=rho)
 
@@ -683,6 +686,9 @@ class TestQuadratureControls:
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             QuadratureSpec(node_count=1)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                QuadratureSpec(node_count=bad)
         with pytest.raises(DomainError):
             QuadratureSpec(abs_tol=-1e-9)
 

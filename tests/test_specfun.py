@@ -172,6 +172,11 @@ class TestLogBeta:
             log_beta(0.0, 2.0)
         with pytest.raises(DomainError):
             log_beta(2.0, -1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                log_beta(bad, 2.0)
+            with pytest.raises(DomainError):
+                log_beta(2.0, bad)
 
 
 class TestBetaCdf:
@@ -238,6 +243,11 @@ class TestBetaCdf:
             beta_cdf(np.array([-0.01, 0.5]), 2.0, 2.0)
         with pytest.raises(DomainError):
             beta_cdf(0.5, 0.0, 2.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                beta_cdf(0.5, bad, 2.0)
+            with pytest.raises(DomainError):
+                beta_cdf(np.array([0.5]), 2.0, bad)
         with pytest.raises(DomainError):
             beta_cdf(0.5, 2.0, -3.0)
 
@@ -278,3 +288,8 @@ class TestBetaQuantile:
                 beta_quantile(p, 2.0, 2.0)
         with pytest.raises(DomainError):
             beta_quantile(0.5, 0.0, 2.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                beta_quantile(0.5, bad, 2.0)
+            with pytest.raises(DomainError):
+                beta_quantile(0.5, 2.0, bad)
