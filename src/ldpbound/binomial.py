@@ -29,12 +29,17 @@ __all__ = [
 RESIDUAL_TOL = 1e-8
 
 
-def check_counts(caller: str, n, k=0) -> None:
-    """Refuse counts that are not n >= 1 obligors with k in [0, n] defaults."""
+def check_counts(caller: str, n, k=0) -> tuple[int, int]:
+    """Refuse counts that are not n >= 1 obligors with k in [0, n] defaults.
+
+    Returns them as ints: a whole float such as 800.0 passes the check, and
+    ``range``, ``math.comb`` and array shapes refuse floats.
+    """
     if not (specfun.is_whole(n) and n >= 1):
         raise DomainError(f"{caller}: n={n!r} must be a positive integer")
     if not (specfun.is_whole(k) and 0 <= k <= n):
         raise DomainError(f"{caller}: k={k!r} must be an integer in [0, n]")
+    return int(n), int(k)
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,7 @@ def binomial_cdf(n: int, k: int, p: float) -> float:
     I_{1-p}(n-k, k+1), which stays stable for n in the thousands; k = n
     returns 1 exactly.
     """
-    check_counts("binomial_cdf", n, k)
+    n, k = check_counts("binomial_cdf", n, k)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"binomial_cdf: p={p!r} outside [0, 1]")
     if k == n:
@@ -138,7 +143,7 @@ def check_residual(caller: str, query: BoundQuery, residual: float) -> None:
 
 def pd_upper_bound_zero_defaults(n: int, gamma: float) -> float:
     """Closed form for the no-defaults case: 1 - (1-gamma)^(1/n)."""
-    check_counts("pd_upper_bound_zero_defaults", n)
+    n, _ = check_counts("pd_upper_bound_zero_defaults", n)
     if not 0.0 < gamma < 1.0:
         raise DomainError(f"pd_upper_bound_zero_defaults: gamma={gamma!r} outside (0, 1)")
     # 1 - exp(log(1-gamma)/n), written to keep precision for small gamma

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .binomial import BoundQuery, BoundResult, pd_upper_bound_independent
+from .binomial import BoundQuery, pd_upper_bound_independent
 from .errors import DomainError, NumericError
-from .mixture import DEFAULT_QUADRATURE, QuadratureSpec, pd_upper_bound_correlated
+from .mixture import DEFAULT_QUADRATURE, CorrelatedBatch, QuadratureSpec
+from .mixture import pd_upper_bound_correlated  # noqa: F401  (bench/tracing.py wraps it here)
 from .specfun import is_whole
 
 __all__ = [
@@ -115,16 +116,19 @@ class GradeBoundReport:
 
 
 def _bound_for(
-    name: str, n: int, k: int, gamma: float, rho: float | None, q: QuadratureSpec
-) -> BoundResult:
-    # grade ``name``'s bound; a numeric failure is re-raised naming the grade
+    name: str, n: int, k: int, gamma: float, rho: float | None, batch: CorrelatedBatch
+) -> float:
+    # grade ``name``'s p_upper; a numeric failure is re-raised naming the
+    # grade. A correlated bound goes into ``batch`` and is re-checked when
+    # the caller calls batch.checked()
+    label = f"grade {name}"
     query = BoundQuery(n=n, k=k, gamma=gamma, rho=rho)
+    if rho is not None:
+        return batch.solve(query, label)
     try:
-        if rho is None:
-            return pd_upper_bound_independent(query)
-        return pd_upper_bound_correlated(query, q)
+        return pd_upper_bound_independent(query).p_upper
     except NumericError as err:
-        raise NumericError(f"grade {name}: {err}") from err
+        raise NumericError(f"{label}: {err}") from err
 
 
 def _detect_reversals(entries: list[GradeBound]) -> tuple[tuple[str, str], ...]:
@@ -146,17 +150,20 @@ def estimate_grades(
 
     ``rho`` absent selects the independence model, present the one-factor
     correlated model, integrated with ``q``. Numeric failures are re-raised
-    naming the grade.
+    naming the grade. The correlated bounds are re-checked together in one
+    pass once every grade is solved.
     """
+    batch = CorrelatedBatch(q)
     entries: list[GradeBound] = []
     for name, n_used, k_used in allocate(pf):
-        res = _bound_for(name, n_used, k_used, gamma, rho, q)
         entries.append(
             GradeBound(
                 name=name, n_used=n_used, k_used=k_used,
-                p_upper=res.p_upper, vacuous=res.vacuous,
+                p_upper=_bound_for(name, n_used, k_used, gamma, rho, batch),
+                vacuous=k_used == n_used,
             )
         )
+    batch.checked()
     return GradeBoundReport(
         gamma=gamma, rho=rho, entries=tuple(entries),
         reversal_flags=_detect_reversals(entries),
@@ -172,10 +179,12 @@ def remediate_reversal(
     it gets its pooled k incremented by one (capped at its pooled n, where
     the bound turns vacuous) and its bound recomputed, until the bounds are
     non-decreasing from safest to riskiest. Only the offending grades are
-    touched. A report without flags is returned unchanged.
+    touched. A report without flags is returned unchanged. The correlated
+    steps are re-checked together in one pass before it returns.
     """
     if not report.reversal_flags:
         return report
+    batch = CorrelatedBatch(q)
     entries = list(report.entries)
     increments: dict[str, int] = {}
     unresolved: list[str] = []
@@ -184,20 +193,18 @@ def remediate_reversal(
         entry = entries[j]
         k_new = entry.k_used
         p_new = entry.p_upper
-        vac = entry.vacuous
         while p_new < prefix_max and k_new < entry.n_used:
             k_new += 1
-            res = _bound_for(entry.name, entry.n_used, k_new, report.gamma, report.rho, q)
-            p_new = res.p_upper
-            vac = res.vacuous
+            p_new = _bound_for(entry.name, entry.n_used, k_new, report.gamma, report.rho, batch)
         if k_new > entry.k_used:
             increments[entry.name] = k_new - entry.k_used
             entries[j] = replace(
-                entry, k_used=k_new, p_upper=p_new, vacuous=vac
+                entry, k_used=k_new, p_upper=p_new, vacuous=k_new == entry.n_used
             )
         if p_new < prefix_max:
             unresolved.append(entry.name)
         prefix_max = max(prefix_max, p_new)
+    batch.checked()
     return GradeBoundReport(
         gamma=report.gamma,
         rho=report.rho,

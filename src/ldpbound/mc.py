@@ -52,6 +52,9 @@ class McConfig:
             raise DomainError(f"McConfig: trials={self.trials!r} must be >= 1")
         if not (specfun.is_whole(self.seed) and 0 <= self.seed < 2 ** 64):
             raise DomainError(f"McConfig: seed={self.seed!r} must fit in 64 unsigned bits")
+        # a whole float passes; the stream and batch arithmetic need ints
+        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,7 @@ def simulate_default_count_tail(
     Per trial: one systematic normal, n idiosyncratic normals, defaults
     counted by the sqrt(rho)*S + sqrt(1-rho)*xi < Phi^-1(p) rule.
     """
-    check_counts("simulate_default_count_tail", n, k)
+    n, k = check_counts("simulate_default_count_tail", n, k)
     x_p = specfun.std_normal_quantile(m.p)
     sq = math.sqrt(m.rho)
     sqc = math.sqrt(1.0 - m.rho)
@@ -131,7 +134,7 @@ def simulate_copula_diagonal(
     Samples the same factor construction, Z_i = sqrt(1-rho)*Y_i - sqrt(rho)*X,
     and counts trials where every coordinate lands below -Phi^-1(p).
     """
-    check_counts("simulate_copula_diagonal", n)
+    n, _ = check_counts("simulate_copula_diagonal", n)
     threshold = -specfun.std_normal_quantile(m.p)
     sq = math.sqrt(m.rho)
     sqc = math.sqrt(1.0 - m.rho)
@@ -162,7 +165,7 @@ def simulate_prop3_form(
     """
     if form not in PROP3_FORMS:
         raise DomainError(f"simulate_prop3_form: unknown form {form!r}; pick from {PROP3_FORMS}")
-    check_counts("simulate_prop3_form", n, k)
+    n, k = check_counts("simulate_prop3_form", n, k)
     if k == n:
         raise DomainError("simulate_prop3_form: k=n makes the first beta shape n-k=0; the tail is 1 without sampling")
     a = float(n - k)

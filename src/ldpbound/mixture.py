@@ -32,19 +32,20 @@ independent cross-check route for the Gaussian-weight evaluation;
 production code paths use the Gaussian-weight form.
 
 Two kernels evaluate the beta-normal integrand I_u(a, b). When both shapes
-are integers and b <= 64 (every bound with k < 64), I_u(a, b) is the finite
+are integers and b <= 192 (every bound with k < 192), I_u(a, b) is the finite
 binomial tail P(Bin(a+b-1, 1-u) <= b-1), summed in log space over b terms
 whose coefficients are the logarithms of the exact integers C(n, i);
-``mixture_tail_prob`` uses the same sum. Otherwise (b > 64, or non-integer
+``mixture_tail_prob`` uses the same sum. Otherwise (b > 192, or non-integer
 shapes) the incomplete-beta continued fraction ``specfun.beta_cdf`` runs.
 The correlated bound re-checks its root on the kernel its solve did not use
-and refuses a residual beyond 1e-8.
+and refuses a residual beyond 1e-8; ``CorrelatedBatch`` re-checks the
+bounds of a whole report or table in one quadrature pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -166,12 +167,29 @@ def _integrate(vals: np.ndarray, spec: QuadratureSpec):
     half = 2.0 * (vals[..., ::2] @ w[::2])
     err = float(np.max(np.abs(full - half)))
     if err > spec.abs_tol:
-        raise NumericError(
-            f"quadrature no longer converging: |I_{spec.node_count} - "
-            f"I_{spec.node_count // 2}| = {err:.3e} exceeds abs_tol="
-            f"{spec.abs_tol:.1e}; raise node_count or loosen abs_tol"
-        )
+        raise _gap_error(err, spec)
     return full
+
+
+def _gap_error(err: float, spec: QuadratureSpec) -> NumericError:
+    return NumericError(
+        f"quadrature no longer converging: |I_{spec.node_count} - "
+        f"I_{spec.node_count // 2}| = {err:.3e} exceeds abs_tol="
+        f"{spec.abs_tol:.1e}; raise node_count or loosen abs_tol"
+    )
+
+
+def _integrate_rows(vals: np.ndarray, spec: QuadratureSpec):
+    """The rule and its half-rule gap for each row of ``vals``, unchecked.
+
+    One dot product per row: a many-row matrix product may sum in another
+    order, and each row must come out bit for bit as :func:`_integrate`
+    gives it alone.
+    """
+    w = _grid(spec.node_count)[1]
+    full = np.array([row @ w for row in vals])
+    half = 2.0 * np.array([row[::2] @ w[::2] for row in vals])
+    return full, np.abs(full - half)
 
 
 def conditional_pd(m: FactorModelParams, x):
@@ -240,7 +258,7 @@ def mixture_tail_prob(
     The Gaussian-weight integral of the conditional binomial tail. k = n
     returns 1 exactly (any p satisfies the defining inequality there).
     """
-    check_counts("mixture_tail_prob", n, k)
+    n, k = check_counts("mixture_tail_prob", n, k)
     if k == n:
         return 1.0
     g = conditional_pd(m, _grid(q.node_count)[0])
@@ -251,12 +269,19 @@ def mixture_tail_prob(
 
 
 # integer shapes with b up to this evaluate F by the b-term binomial sum,
-# the rest by the continued fraction; the bound re-checks on the other one
-_SUM_MAX_B = 64
+# the rest by the continued fraction; the bound re-checks on the other one.
+# It sits where one 513-node pass of the two kernels costs the same.
+_SUM_MAX_B = 192
 
 
 def _summable(s: MixtureShape) -> bool:
     return specfun.is_whole(s.a) and specfun.is_whole(s.b) and s.b <= _SUM_MAX_B
+
+
+def _binom_kernel(u: np.ndarray, s: MixtureShape) -> np.ndarray:
+    # I_u(a, b) for integer shapes: P(Bin(a+b-1, 1-u) <= b-1)
+    with np.errstate(divide="ignore"):
+        return _binom_tail(np.log1p(-u), np.log(u), int(s.a + s.b) - 1, int(s.b) - 1)
 
 
 def _f_pass(yv: np.ndarray, s: MixtureShape, q: QuadratureSpec, summed: bool):
@@ -265,8 +290,8 @@ def _f_pass(yv: np.ndarray, s: MixtureShape, q: QuadratureSpec, summed: bool):
     The kernel I_u(a, b) at the inner values u = Phi(c1*x + y) is the
     binomial sum P(Bin(a+b-1, 1-u) <= b-1) when ``summed``, exact for every
     integer shape, and the continued fraction ``specfun.beta_cdf``
-    otherwise. The solve prefers the sum only where :func:`_summable`
-    (b <= 64); the bound's re-check takes the kernel its solve did not.
+    otherwise. The solve prefers the sum only where :func:`_summable`;
+    :func:`_recheck_pass` takes the kernel the solve did not.
     Returns F (clipped to [0, 1], one value per y) and, one row per y, the
     inner arguments z = c1*x + y and values u = Phi(z) at every node, from
     which the solver forms F'.
@@ -274,12 +299,31 @@ def _f_pass(yv: np.ndarray, s: MixtureShape, q: QuadratureSpec, summed: bool):
     c1 = math.sqrt(s.rho / (1.0 - s.rho))
     z = c1 * _grid(q.node_count)[0] + yv.reshape(-1, 1)
     u = specfun.std_normal_cdf(z)
-    if summed:
-        with np.errstate(divide="ignore"):
-            vals = _binom_tail(np.log1p(-u), np.log(u), int(s.a + s.b) - 1, int(s.b) - 1)
-    else:
-        vals = specfun.beta_cdf(u, s.a, s.b)
+    vals = _binom_kernel(u, s) if summed else specfun.beta_cdf(u, s.a, s.b)
     return np.clip(_integrate(vals, q), 0.0, 1.0), z, u
+
+
+def _recheck_pass(shapes: list[MixtureShape], ys: list[float], q: QuadratureSpec):
+    """F at each shape's own root y, on the kernel its solve did not use.
+
+    One quadrature pass for all the rows: those whose solve summed share one
+    continued-fraction call, the rest take the binomial sum row by row.
+    Returns F (clipped to [0, 1]) and the half-rule gap, one per row, both
+    unchecked; each row is bit for bit what it would be alone.
+    """
+    c1 = np.array([math.sqrt(s.rho / (1.0 - s.rho)) for s in shapes])
+    z = c1[:, None] * _grid(q.node_count)[0] + np.array(ys)[:, None]
+    u = specfun.std_normal_cdf(z)
+    summed = np.array([_summable(s) for s in shapes])
+    vals = np.empty_like(u)
+    if summed.any():
+        a = np.array([s.a for s in shapes])[summed, None]
+        b = np.array([s.b for s in shapes])[summed, None]
+        vals[summed] = specfun._beta_cdf_lanes(u[summed], a, b)
+    for i in np.flatnonzero(~summed):
+        vals[i] = _binom_kernel(u[i], shapes[i])
+    full, gap = _integrate_rows(vals, q)
+    return np.clip(full, 0.0, 1.0), gap
 
 
 def f_cdf(y, s: MixtureShape, q: QuadratureSpec = DEFAULT_QUADRATURE):
@@ -470,6 +514,75 @@ def f_quantile(
     return y
 
 
+class CorrelatedBatch:
+    """Correlated bounds solved one at a time and re-checked in one pass.
+
+    ``solve`` runs one bound's F-quantile solve and returns its p_upper,
+    not yet re-checked. ``checked`` re-checks every bound solved so far in
+    one quadrature pass of F (:func:`_recheck_pass`), each at its own root
+    and shape, and returns their BoundResults in solve order. The first
+    bound whose half-rule gap exceeds abs_tol or whose |residual| exceeds
+    1e-8 raises that NumericError, prefixed with the label it was solved
+    under. A solve that fails re-checks the bounds before it first, so the
+    error raised is the one solving and re-checking each bound in turn
+    would raise.
+    """
+
+    def __init__(self, q: QuadratureSpec = DEFAULT_QUADRATURE) -> None:
+        self.q = q
+        # (label, query, shape, result with the residual still unset)
+        self._rows: list[tuple[str, BoundQuery, MixtureShape | None, BoundResult]] = []
+
+    def solve(self, query: BoundQuery, label: str = "") -> float:
+        """Solve one bound (k = n is vacuous); its p_upper, not yet re-checked."""
+        if query.rho is None:
+            raise DomainError(
+                "pd_upper_bound_correlated: query has no correlation; "
+                "use pd_upper_bound_independent"
+            )
+        if query.k == query.n:
+            self._rows.append((label, query, None, VACUOUS_BOUND))
+            return VACUOUS_BOUND.p_upper
+        shape = MixtureShape(
+            a=float(query.n - query.k), b=float(query.k + 1), rho=query.rho
+        )
+        try:
+            y, steps = _f_quantile_steps(1.0 - query.gamma, shape, self.q)
+        except NumericError as err:
+            self.checked()
+            raise _labelled(label, err) from err
+        # 1 - Phi(z) computed as Phi(-z) to keep the small-p cases accurate
+        p_upper = specfun.std_normal_cdf(-math.sqrt(1.0 - query.rho) * y)
+        result = BoundResult(p_upper=p_upper, residual=math.nan, iterations=steps, quantile=y)
+        self._rows.append((label, query, shape, result))
+        return p_upper
+
+    def checked(self) -> list[BoundResult]:
+        """Re-check every bound solved so far; their results in solve order."""
+        out = [result for *_, result in self._rows]
+        solved = [i for i, (_, _, shape, _) in enumerate(self._rows) if shape is not None]
+        if not solved:
+            return out
+        checks, gaps = _recheck_pass(
+            [self._rows[i][2] for i in solved], [out[i].quantile for i in solved], self.q
+        )
+        for i, check, gap in zip(solved, checks, gaps):
+            label, query, _, result = self._rows[i]
+            residual = float(check) - (1.0 - query.gamma)
+            try:
+                if gap > self.q.abs_tol:
+                    raise _gap_error(float(gap), self.q)
+                check_residual("pd_upper_bound_correlated", query, residual)
+            except NumericError as err:
+                raise _labelled(label, err) from err
+            out[i] = replace(result, residual=residual)
+        return out
+
+
+def _labelled(label: str, err: NumericError) -> NumericError:
+    return NumericError(f"{label}: {err}") if label else err
+
+
 def pd_upper_bound_correlated(
     query: BoundQuery, q: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> BoundResult:
@@ -478,27 +591,14 @@ def pd_upper_bound_correlated(
     p_upper = 1 - Phi(sqrt(1-rho) * F^-1(1-gamma)). The residual is F at the
     returned quantile minus (1-gamma), re-evaluated by one more quadrature
     pass of F (with its half-rule check) on the kernel the solve did not
-    use: the continued fraction after a binomial-sum solve (k < 64), the
+    use: the continued fraction after a binomial-sum solve (k < 192), the
     binomial sum after a continued-fraction solve. |residual| > 1e-8 raises
-    NumericError. k = n is vacuous.
+    NumericError. k = n is vacuous. A :class:`CorrelatedBatch` of one; a
+    report or a table re-checks all its bounds in one batch.
     """
-    if query.rho is None:
-        raise DomainError(
-            "pd_upper_bound_correlated: query has no correlation; "
-            "use pd_upper_bound_independent"
-        )
-    if query.k == query.n:
-        return VACUOUS_BOUND
-    shape = MixtureShape(
-        a=float(query.n - query.k), b=float(query.k + 1), rho=query.rho
-    )
-    y, steps = _f_quantile_steps(1.0 - query.gamma, shape, q)
-    # 1 - Phi(z) computed as Phi(-z) to keep the small-p cases accurate
-    p_upper = specfun.std_normal_cdf(-math.sqrt(1.0 - query.rho) * y)
-    check = float(_f_pass(np.array([y]), shape, q, not _summable(shape))[0][0])
-    residual = check - (1.0 - query.gamma)
-    check_residual("pd_upper_bound_correlated", query, residual)
-    return BoundResult(p_upper=p_upper, residual=residual, iterations=steps, quantile=y)
+    batch = CorrelatedBatch(q)
+    batch.solve(query)
+    return batch.checked()[0]
 
 
 def tilde_f_cdf(p, s: MixtureShape, q: QuadratureSpec = DEFAULT_QUADRATURE):
@@ -517,7 +617,7 @@ def mixture_pmf(
     n: int, i: int, m: FactorModelParams, q: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> float:
     """P(defaults = i) under the factor mixture."""
-    check_counts("mixture_pmf", n, i)
+    n, i = check_counts("mixture_pmf", n, i)
     g = conditional_pd(m, _grid(q.node_count)[0])
     with np.errstate(divide="ignore"):
         lg = np.log(g)
@@ -536,7 +636,7 @@ def mixture_mgf(
     tf = float(t)
     if not math.isfinite(tf):
         raise DomainError(f"mixture_mgf: t={t!r} must be finite")
-    check_counts("mixture_mgf", n)
+    n, _ = check_counts("mixture_mgf", n)
     # for t > 0 the integrand grows like e^(t*n) as x falls, so the mass the
     # window drops is bounded by Phi(-T) * (1 + e^(n*max(t, 0))), not by
     # 2*Phi(-T); refuse where that bound passes abs_tol (compared in logs)
@@ -566,7 +666,7 @@ def copula_diagonal(
     and to the n-variate equicorrelated normal orthant probability at
     -Phi^-1(p).
     """
-    check_counts("copula_diagonal", n)
+    n, _ = check_counts("copula_diagonal", n)
     g = conditional_pd(m, _grid(q.node_count)[0])
     val = float(_integrate((1.0 - g) ** n, q))
     return min(max(val, 0.0), 1.0)

@@ -20,7 +20,10 @@ Algorithm notes:
 * log-gamma is the C library's ``math.lgamma``.
 * The incomplete beta uses the standard continued fraction with the
   symmetry switch at x = (a+1)/(a+b+2); the inverse is a Newton iteration on
-  the CDF, safeguarded by bisection, started from the distribution mean.
+  the CDF, safeguarded by bisection, started from the distribution mean. On
+  an array the fraction runs every lane in one loop, each with its own
+  shapes, and drops a lane from the working arrays once it converges; each
+  lane's value is bit for bit the scalar loop's.
 """
 
 from __future__ import annotations
@@ -49,7 +52,10 @@ _TINY = 1e-300
 _CF_TOL = 1e-15
 
 # log_beta takes its exact product form when the smaller shape is an integer
-# up to this
+# up to this. It is not mixture._SUM_MAX_B: that one is where two F kernels
+# cost the same, while this one only bounds a scalar m-term sum that keeps
+# log_beta accurate, and moving it would change the last bits of every
+# independent bound with k + 1 between the two
 PRODUCT_FORM_MAX = 64
 
 # lane-by-lane ufuncs over the stdlib calls; they return object arrays (or a
@@ -139,6 +145,10 @@ def log_beta(a: float, b: float) -> float:
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
+# log_beta over broadcast shape arrays, one scalar call per entry
+_log_beta_lanes = np.frompyfunc(log_beta, 2, 1)
+
+
 # ---------------------------------------------------------------------------
 # regularized incomplete beta
 # ---------------------------------------------------------------------------
@@ -183,8 +193,9 @@ def _betacf_scalar(a: float, b: float, x: float) -> float:
 
 
 def _betacf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # the same fraction in lockstep over lanes, each with its own shapes;
-    # a converged lane keeps its h while the slowest lane finishes
+    # the same fraction over 1-d lanes, each with its own shapes; a lane
+    # leaves every working array once converged, so the slow lanes of one
+    # call do not drag the others through their iterations
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -193,7 +204,8 @@ def _betacf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     np.copyto(d, _TINY, where=np.abs(d) < _TINY)
     d = 1.0 / d
     h = d.copy()
-    active = np.ones(x.shape, dtype=bool)
+    out = np.empty_like(x)
+    lane = np.arange(x.size)
     for m in range(1, 500):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
@@ -202,7 +214,7 @@ def _betacf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         c = 1.0 + aa / c
         np.copyto(c, _TINY, where=np.abs(c) < _TINY)
         d = 1.0 / d
-        h = np.where(active, h * (d * c), h)
+        h = h * (d * c)
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
         np.copyto(d, _TINY, where=np.abs(d) < _TINY)
@@ -210,11 +222,21 @@ def _betacf_array(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
         np.copyto(c, _TINY, where=np.abs(c) < _TINY)
         d = 1.0 / d
         delta = d * c
-        h = np.where(active, h * delta, h)
-        active &= np.abs(delta - 1.0) >= _CF_TOL
-        if not active.any():
-            return h
-    raise NumericError("incomplete beta continued fraction stalled on array")
+        h = h * delta
+        done = np.abs(delta - 1.0) < _CF_TOL
+        if done.all():
+            out[lane] = h
+            return out
+        if done.any():
+            out[lane[done]] = h[done]
+            run = ~done
+            a, b, x, qab, qap, qam, c, d, h, lane = (
+                v[run] for v in (a, b, x, qab, qap, qam, c, d, h, lane)
+            )
+    raise NumericError(
+        "incomplete beta continued fraction stalled "
+        f"(a={float(a[0])!r}, b={float(b[0])!r}, x={float(x[0])!r})"
+    )
 
 
 def _beta_cdf_scalar(x: float, a: float, b: float, lb: float) -> float:
@@ -229,18 +251,36 @@ def _beta_cdf_scalar(x: float, a: float, b: float, lb: float) -> float:
     return 1.0 - math.exp(lfront) * _betacf_scalar(b, a, 1.0 - x) / b
 
 
+def _beta_cdf_lanes(u: np.ndarray, a, b) -> np.ndarray:
+    # I_u(a, b) at every entry of u (in [0, 1]), with shapes a and b that
+    # broadcast against u: one pair for all of u, or one pair per row. Both
+    # sides of the symmetry switch share one continued-fraction call: lanes
+    # at or past (a+1)/(a+b+2) run it as 1 - I_{1-u}(b, a). The front factor
+    # is exp(-inf) = 0 at u = 0 and 1, so the endpoints come out exactly
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    lb = np.asarray(_log_beta_lanes(a, b), dtype=float)
+    swap = u >= (a + 1.0) / (a + b + 2.0)
+    sa = np.where(swap, b, a)
+    sb = np.where(swap, a, b)
+    with np.errstate(divide="ignore"):
+        front = np.exp(a * np.log(u) + b * np.log1p(-u) - lb)
+    cf = _betacf_array(sa.ravel(), sb.ravel(), np.where(swap, 1.0 - u, u).ravel())
+    part = front * cf.reshape(u.shape) / sa
+    return np.where(swap, 1.0 - part, part)
+
+
 def beta_cdf(x, a: float, b: float):
     """Regularized incomplete beta function I_x(a, b).
 
     ``x`` may be a float or an array with entries in [0, 1]; shapes must be
     positive and finite. Endpoints return exactly 0 and 1. Continued
     fraction with the symmetric form used on whichever side of
-    (a+1)/(a+b+2) converges fast; an array runs both sides in one lockstep
-    call.
+    (a+1)/(a+b+2) converges fast; an array runs both sides in one call
+    that drops each lane once it converges.
     """
     check_shapes("beta_cdf", a, b)
     # two paths on purpose: the scalar Lentz loop wins for the binomial
-    # solves, the lockstep loop for quadrature nodes
+    # solves, the array loop for quadrature nodes
     if np.ndim(x) == 0:
         xf = float(x)
         if not (0.0 <= xf <= 1.0):
@@ -249,21 +289,7 @@ def beta_cdf(x, a: float, b: float):
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise DomainError("beta_cdf: all x must lie in [0, 1]")
-    # one lockstep for both sides of the switch: lanes at or past
-    # (a+1)/(a+b+2) run the fraction as 1 - I_{1-x}(b, a). The front factor
-    # is exp(-inf) = 0 at x = 0 and 1, so the endpoints come out exactly
-    swap = arr >= (a + 1.0) / (a + b + 2.0)
-    sa = np.where(swap, float(b), float(a))
-    sb = np.where(swap, float(a), float(b))
-    with np.errstate(divide="ignore"):
-        front = np.exp(a * np.log(arr) + b * np.log1p(-arr) - log_beta(a, b))
-    try:
-        part = front * _betacf_array(sa, sb, np.where(swap, 1.0 - arr, arr)) / sa
-    except NumericError:
-        raise NumericError(
-            f"incomplete beta continued fraction stalled on array (a={a!r}, b={b!r})"
-        ) from None
-    return np.where(swap, 1.0 - part, part)
+    return _beta_cdf_lanes(arr, a, b)
 
 
 def _beta_quantile_steps(p: float, a: float, b: float) -> tuple[float, int]:

@@ -16,13 +16,8 @@ from dataclasses import dataclass
 from .binomial import BoundQuery, pd_upper_bound_independent
 from .conservatism import Grade, Portfolio, allocate
 from .errors import DomainError
-from .mixture import (
-    DEFAULT_QUADRATURE,
-    MixtureShape,
-    QuadratureSpec,
-    f_quantile,
-    pd_upper_bound_correlated,
-)
+from .mixture import DEFAULT_QUADRATURE, CorrelatedBatch, MixtureShape, QuadratureSpec, f_quantile
+from .mixture import pd_upper_bound_correlated  # noqa: F401  (bench/tracing.py wraps it here)
 
 __all__ = [
     "GAMMAS",
@@ -139,9 +134,11 @@ def compute_table(
 ) -> list[list[float]]:
     """Recompute one benchmark table; same layout and units as ``expected``.
 
-    The correlated and quantile tables integrate with ``q``.
+    The correlated and quantile tables integrate with ``q``; the correlated
+    cells are re-checked together in one pass.
     """
     spec = table_spec(table_id)
+    batch = CorrelatedBatch(q)
     rows: list[list[float]] = []
     for _, n_used, k_used in allocate(spec.portfolio):
         row: list[float] = []
@@ -157,11 +154,10 @@ def compute_table(
                 )
                 row.append(f_quantile(1.0 - gamma, shape, q))
             else:
-                res = pd_upper_bound_correlated(
-                    BoundQuery(n=n_used, k=k_used, gamma=gamma, rho=spec.rho), q
-                )
-                row.append(100.0 * res.p_upper)
+                p_upper = batch.solve(BoundQuery(n=n_used, k=k_used, gamma=gamma, rho=spec.rho))
+                row.append(100.0 * p_upper)
         rows.append(row)
+    batch.checked()
     return rows
 
 

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from ldpbound import conservatism, mixture, specfun, tables
 from ldpbound import (
+    BoundQuery,
     DomainError,
     EXAMPLE_PORTFOLIO_ONE,
     EXAMPLE_PORTFOLIO_TWO,
@@ -14,8 +16,11 @@ from ldpbound import (
     Portfolio,
     QuadratureSpec,
     allocate,
+    compute_table,
     estimate_grades,
+    pd_upper_bound_correlated,
     remediate_reversal,
+    table_spec,
 )
 
 from _frozen import (
@@ -186,3 +191,151 @@ class TestRemediation:
         assert fixed.unresolved == ()
         assert fixed.entries[1].vacuous and fixed.entries[1].k_used == 1
         assert fixed.adjusted_k == {"R": 1}
+
+
+def _portfolio(*grades):
+    return Portfolio(tuple(Grade(chr(ord("A") + i), n, k) for i, (n, k) in enumerate(grades)))
+
+
+# remediation raises C (one step), then E (one step), at gamma .5, rho .12
+TWO_REMEDIATED = _portfolio((100, 0), (400, 2), (300, 0), (200, 2), (100, 0))
+# pooled k of 250 and 220 solve on the continued fraction and re-check on the
+# binomial sum; 120 the other way round
+BOTH_KERNELS = _portfolio((4000, 30), (3000, 100), (2000, 120))
+
+
+# the unpatched internals that TestBatchedRecheck._force wraps
+RECHECK_PASS = mixture._recheck_pass
+F_QUANTILE_STEPS = mixture._f_quantile_steps
+
+
+class TestBatchedRecheck:
+    """A report or a table re-checks all its correlated bounds in one pass."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        # every (query, result) a CorrelatedBatch hands back from checked()
+        seen = []
+
+        class Recording(mixture.CorrelatedBatch):
+            def __init__(self, q=mixture.DEFAULT_QUADRATURE):
+                super().__init__(q)
+                self.queries = []
+
+            def solve(self, query, label=""):
+                self.queries.append(query)
+                return super().solve(query, label)
+
+            def checked(self):
+                out = super().checked()
+                seen.extend(zip(self.queries, out))
+                return out
+
+        monkeypatch.setattr(conservatism, "CorrelatedBatch", Recording)
+        monkeypatch.setattr(tables, "CorrelatedBatch", Recording)
+        return seen
+
+    @staticmethod
+    def _assert_alone(seen):
+        # p_upper, residual, iterations and quantile bit for bit as one
+        # pd_upper_bound_correlated call on its own gives them
+        assert seen
+        for query, res in seen:
+            assert repr(res) == repr(pd_upper_bound_correlated(query)), query
+
+    def test_reports_match_one_bound_at_a_time(self, recorded):
+        cases = ((TWO_REMEDIATED, 0.5, 0.12), (BOTH_KERNELS, 0.9, 0.12),
+                 (_portfolio((3, 2), (1, 0)), 0.5, 0.12),  # remediation turns vacuous
+                 (EXAMPLE_PORTFOLIO_TWO, 0.5, 0.12))
+        for pf, gamma, rho in cases:
+            report = estimate_grades(pf, gamma, rho)
+            for entry, (query, res) in zip(report.entries, recorded[-len(report.entries):]):
+                assert (query.n, query.k) == (entry.n_used, entry.k_used)
+                assert entry.p_upper == res.p_upper and entry.vacuous == res.vacuous
+            if report.reversal_flags:
+                before = len(recorded)
+                fixed = remediate_reversal(report)
+                last = {query.n: res for query, res in recorded[before:]}
+                for entry in fixed.entries:
+                    if entry.name in fixed.adjusted_k:
+                        assert last[entry.n_used].p_upper == entry.p_upper
+                        assert last[entry.n_used].vacuous == entry.vacuous
+        assert any(res.vacuous for _, res in recorded)
+        self._assert_alone(recorded)
+
+    def test_tables_match_one_bound_at_a_time(self, recorded):
+        for table_id in (3, 6):
+            rows = compute_table(table_id)
+            cells = recorded[-sum(len(row) for row in rows):]
+            assert [100.0 * res.p_upper for _, res in cells] == [x for row in rows for x in row]
+            assert [(q.n, q.k) for q, _ in cells[::6]] == \
+                [(n, k) for _, n, k in allocate(table_spec(table_id).portfolio)]
+        self._assert_alone(recorded)
+
+    def test_one_fraction_call_per_report_and_table(self, monkeypatch):
+        # pooled k all below the sum cutoff: the solves sum, and every
+        # re-check of the report (or table) shares one continued fraction
+        calls = []
+        fraction = specfun._betacf_array
+
+        def counted(*args):
+            calls.append(args[0].size)
+            return fraction(*args)
+
+        monkeypatch.setattr(specfun, "_betacf_array", counted)
+        for pf, gamma in ((TWO_REMEDIATED, 0.5), (EXAMPLE_PORTFOLIO_TWO, 0.99)):
+            assert all(k + 1 <= mixture._SUM_MAX_B for _, _, k in allocate(pf))
+            calls.clear()
+            report = estimate_grades(pf, gamma, 0.12)
+            assert len(calls) == 1
+            assert calls[0] == len(report.entries) * (mixture.DEFAULT_QUADRATURE.node_count + 1)
+        for table_id in (3, 6):
+            calls.clear()
+            compute_table(table_id)
+            assert len(calls) == 1
+
+    def _force(self, monkeypatch, recheck=(), solve=()):
+        # bias the re-checked F of the (n, k) in ``recheck`` by 1e-7; make
+        # the solve of the (n, k) in ``solve`` fail
+        def shape_nk(s):
+            return int(s.a + s.b) - 1, int(s.b) - 1
+
+        def biased(shapes, ys, q):
+            checks, gaps = RECHECK_PASS(shapes, ys, q)
+            return checks + [1e-7 * (shape_nk(s) in recheck) for s in shapes], gaps
+
+        def failing(prob, s, q):
+            if shape_nk(s) in solve:
+                raise NumericError("forced solve failure")
+            return F_QUANTILE_STEPS(prob, s, q)
+
+        monkeypatch.setattr(mixture, "_recheck_pass", biased)
+        monkeypatch.setattr(mixture, "_f_quantile_steps", failing)
+
+    def test_failing_recheck_names_its_grade(self, monkeypatch):
+        pooled = {name: (n, k) for name, n, k in allocate(TWO_REMEDIATED)}
+        report = estimate_grades(TWO_REMEDIATED, 0.5, 0.12)
+        assert report.reversal_flags == (("B", "C"), ("D", "E"))
+        self._force(monkeypatch, recheck={pooled["C"]})
+        with pytest.raises(NumericError, match=r"^grade C: .*residual"):
+            estimate_grades(TWO_REMEDIATED, 0.5, 0.12)
+        # remediation solves C's step (k + 1), then E's, and re-checks both
+        # at the end: C's failure is the one raised
+        n, k = pooled["C"]
+        self._force(monkeypatch, recheck={(n, k + 1)})
+        with pytest.raises(NumericError, match=r"^grade C: .*residual"):
+            remediate_reversal(report)
+
+    def test_solve_failure_waits_for_earlier_rechecks(self, monkeypatch):
+        # a solve failing at grade D is raised only once the grades before
+        # it have been re-checked, so a bad re-check at B is named first
+        pooled = {name: (n, k) for name, n, k in allocate(TWO_REMEDIATED)}
+        self._force(monkeypatch, solve={pooled["D"]})
+        with pytest.raises(NumericError, match=r"^grade D: forced solve failure"):
+            estimate_grades(TWO_REMEDIATED, 0.5, 0.12)
+        self._force(monkeypatch, recheck={pooled["B"]}, solve={pooled["D"]})
+        with pytest.raises(NumericError, match=r"^grade B: .*residual"):
+            estimate_grades(TWO_REMEDIATED, 0.5, 0.12)
+        self._force(monkeypatch, recheck={pooled["E"]}, solve={pooled["D"]})
+        with pytest.raises(NumericError, match=r"^grade D: forced solve failure"):
+            estimate_grades(TWO_REMEDIATED, 0.5, 0.12)

@@ -48,6 +48,16 @@ class TestMcConfig:
             with pytest.raises(DomainError):
                 McConfig(trials=10, seed=bad)
 
+    def test_whole_float_counts_are_counts(self):
+        # whole floats pass the checks and must then act as the ints
+        m = FactorModelParams(p=0.1, rho=0.3)
+        assert McConfig(trials=100.0, seed=1.0) == McConfig(trials=100, seed=1)
+        cfg = McConfig(trials=100.0, seed=1)
+        assert simulate_default_count_tail(10.0, 1.0, m, cfg) == \
+            simulate_default_count_tail(10, 1, m, McConfig(100, 1))
+        assert simulate_copula_diagonal(10.0, m, cfg) == \
+            simulate_copula_diagonal(10, m, McConfig(100, 1))
+
     def test_std_error_formula(self):
         m = FactorModelParams(p=0.1, rho=0.3)
         est = simulate_default_count_tail(

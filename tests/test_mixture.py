@@ -243,6 +243,12 @@ class TestMixtureTail:
                         assert count_route == pytest.approx(unit_route, abs=1e-8), \
                             (n, k, p, rho)
 
+    def test_whole_float_counts_are_counts(self):
+        # a whole float passes the count check and must then act as the int
+        m = FactorModelParams(p=0.0249, rho=0.12)
+        assert mixture_tail_prob(800.0, 3.0, m) == mixture_tail_prob(800, 3, m)
+        assert mixture_pmf(50.0, 2.0, m) == mixture_pmf(50, 2, m)
+
     def test_rejects_bad_counts(self):
         m = FactorModelParams(p=0.1, rho=0.12)
         with pytest.raises(DomainError):
@@ -252,14 +258,14 @@ class TestMixtureTail:
 
 
 class TestBinomialSumKernel:
-    # (n, k) of portfolio-like bound shapes up to the b = k + 1 <= 64 cutoff
+    # (n, k) of portfolio-like bound shapes; the sum runs up to b = k + 1 <= 192
     SHAPES = ((800, 3), (2900, 40), (5405, 28), (9800, 63), (100_000, 63))
 
     def test_matches_betainc_across_transition(self):
         # I_u(n-k, k+1) = P(Bin(n, 1-u) <= k) on 768 lanes with g = 1 - u
         # within 8 sd of the mean of the Beta(k+1, n-k) law that the tail
         # turns over; scipy's betainc is the oracle (test-only)
-        for n, k in self.SHAPES:
+        for n, k in self.SHAPES + ((11414, 87), (10_000, 191)):
             mean = (k + 1) / (n + 1)
             sd = math.sqrt(mean * (1.0 - mean) / (n + 2))
             g = np.linspace(max(mean - 8.0 * sd, mean / 64.0), mean + 8.0 * sd, 768)
@@ -436,13 +442,15 @@ class TestCorrelatedBound:
                     assert res.iterations <= 5, (n, k, rho, gamma)
 
     def test_recheck_is_independent_and_enforced(self, monkeypatch):
-        # the re-check runs on the kernel the solve did not use: k < 64
-        # solves on the binomial sum and re-checks on the continued fraction,
-        # k >= 64 the other way round. Biasing the solve's kernel by 1e-7
-        # moves the root, the re-check sees the bias and the bound is refused
+        # the re-check runs on the kernel the solve did not use: k + 1 up to
+        # the cutoff solves on the binomial sum and re-checks on the
+        # continued fraction, a larger k the other way round. Biasing the
+        # solve's kernel by 1e-7 moves the root, the re-check sees the bias
+        # and the bound is refused
+        k_fraction = mixture._SUM_MAX_B + 16
         cases = (
             (BoundQuery(n=800, k=3, gamma=0.9, rho=0.12), mixture, "_binom_tail"),
-            (BoundQuery(n=3000, k=80, gamma=0.5, rho=0.12), mixture.specfun, "beta_cdf"),
+            (BoundQuery(n=3000, k=k_fraction, gamma=0.5, rho=0.12), mixture.specfun, "beta_cdf"),
         )
         for query, module, name in cases:
             assert abs(pd_upper_bound_correlated(query).residual) <= 1e-12, query

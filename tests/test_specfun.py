@@ -10,8 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln, ndtr, ndtri
 
+from ldpbound import specfun
 from ldpbound import (
     DomainError,
     beta_cdf,
@@ -228,9 +231,33 @@ class TestBetaCdf:
             arr = beta_cdf(xs, a, b)
             sca = np.array([beta_cdf(float(x), a, b) for x in xs])
             assert np.all(np.abs(arr - sca) <= 3e-15 * sca), (a, b)
-            # the endpoints come out exact from the same lockstep call
+            # the endpoints come out exact from the same array call
             ends = beta_cdf(np.array([0.0, 1.0, switch, 0.0]), a, b)
             assert ends[0] == 0.0 and ends[1] == 1.0 and ends[3] == 0.0, (a, b)
+
+    # shapes the bounds and the density plots reach; x = 0 lanes converge at
+    # once, so they leave the working arrays on the first iteration
+    CF_SHAPES = ((797.0, 4.0), (4.0, 797.0), (9800.0, 201.0), (2.5, 0.3))
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        extra=st.lists(
+            st.tuples(st.floats(0.1, 5000.0), st.floats(0.1, 5000.0)), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fraction_lanes_match_scalar_oracle(self, extra, seed):
+        # the array fraction drops lanes as they converge; every lane, shapes
+        # mixed across one call, must equal the scalar Lentz loop bit for bit
+        rng = np.random.default_rng(seed)
+        shapes = np.array(self.CF_SHAPES + tuple(extra))
+        pick = rng.integers(0, len(shapes), 300)
+        a, b = shapes[pick, 0], shapes[pick, 1]
+        # the fraction runs on the converging side of (a+1)/(a+b+2)
+        x = rng.random(300) * (a + 1.0) / (a + b + 2.0)
+        x[rng.random(300) < 0.1] = 0.0
+        got = specfun._betacf_array(a, b, x)
+        want = np.array([specfun._betacf_scalar(*lane) for lane in zip(a, b, x)])
+        assert got.tobytes() == want.tobytes()
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
